@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the installed CLI entry point."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 STAGES = (
     "parse",
@@ -37,6 +39,60 @@ def pipeline(tmp_path_factory):
     done = run_cli("all", "--out", str(out))
     assert done.returncode == 0, done.stderr
     return out
+
+
+def assert_close(got, want, where="report"):
+    """Equal structure and exact ids and ints; floats within 1e-9."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and isinstance(want, (int, float)), where
+        assert (math.isnan(got) and math.isnan(want)) or math.isclose(
+            got, want, rel_tol=0.0, abs_tol=1e-9
+        ), f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_matches_golden(out, name):
+    """Compare out/predictions.jsonl and out/report.json (minus `timing`)
+    with the pinned copies in tests/golden/<name>/.
+
+    Regenerate a pinned copy only for an intended behaviour change, and say
+    why in CHANGES.md. From the repo root, with OUT the test's out dir
+    (`synth_default`: `perseus synth --out OUT && perseus all --out OUT`;
+    `sui`: the commands of test_sui_fixture_recovers_its_masterminds):
+
+        cp OUT/predictions.jsonl tests/golden/<name>/
+        python -c "$STRIP" OUT/report.json > tests/golden/<name>/report.json
+
+    where STRIP is this Python, which drops the machine-dependent `timing`:
+
+        import json, sys
+        r = json.load(open(sys.argv[1]))
+        r.pop("timing")
+        print(json.dumps(r, indent=1, sort_keys=True))
+    """
+    golden = GOLDEN / name
+    rows = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    want = [
+        json.loads(line)
+        for line in (golden / "predictions.jsonl").read_text().splitlines()
+    ]
+    assert_close(rows, want, f"{name}/predictions")
+    report = json.loads((out / "report.json").read_text())
+    report.pop("timing")
+    assert_close(report, json.loads((golden / "report.json").read_text()), f"{name}/report")
+
+
+def test_default_run_matches_golden(pipeline):
+    assert_matches_golden(pipeline, "synth_default")
 
 
 def test_all_leaves_every_artifact(pipeline):
@@ -223,9 +279,12 @@ def test_sui_fixture_recovers_its_masterminds(tmp_path):
         ("featurize",),
         ("train",),
         ("infer", "--split", "all"),
+        ("evaluate", "--split", "all"),
     ):
         done = run_cli(*args, "--config", str(config))
         assert done.returncode == 0, f"{args}: {done.stderr}"
+        if args[0] == "infer":
+            detected = json.loads(done.stdout)
     rows = [
         json.loads(line)
         for line in (out / "predictions.jsonl").read_text().splitlines()
@@ -236,5 +295,5 @@ def test_sui_fixture_recovers_its_masterminds(tmp_path):
         "CQSScalpingFree",
         "cryptotipstrick",
     }
-    detected = json.loads(done.stdout)
     assert {r["entity_id"] for r in detected} >= {"CQSScalpingFree", "cryptotipstrick"}
+    assert_matches_golden(out, "sui")
