@@ -1,21 +1,24 @@
 """Pipeline orchestration: stage subcommands over a JSON config.
 
 Each stage reads the previous stage's artifacts from the output directory,
-writes its own, and records a manifest with input/output hashes. Re-running
-a stage whose config and inputs are unchanged is a no-op. Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical failure.
+writes its own, and records a manifest with input/output hashes. The stage
+table (`STAGES`) declares what each stage reads and which settings it uses;
+re-running a stage whose files and settings are unchanged is a no-op. Exit
+codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
+import operator
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -28,6 +31,7 @@ from . import ingest
 from . import synth as synth_mod
 from .evaluation import SplitInfeasible
 from .features import (
+    FEATURE_COLUMNS,
     FeatureMatrix,
     Standardizer,
     assemble_matrix,
@@ -52,19 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-STAGE_ORDER = (
-    "parse",
-    "split",
-    "events",
-    "flag",
-    "graphs",
-    "featurize",
-    "train",
-    "infer",
-    "evaluate",
-)
-
 
 class ConfigError(Exception):
     """Invalid pipeline config; carries one message per bad field."""
@@ -95,44 +86,10 @@ class PipelineConfig:
     threshold_grid: tuple[float, ...]
     model: ModelConfig
 
-    def as_dict(self) -> dict:
-        return {
-            "out_dir": str(self.out_dir),
-            "corpus": str(self.corpus),
-            "prices_dir": None if self.prices_dir is None else str(self.prices_dir),
-            "labels": None if self.labels is None else str(self.labels),
-            "split_fractions": list(self.split_fractions),
-            "event_cap_hours": self.event_cap_hours,
-            "return_rule": self.return_rule,
-            "aggregation": self.aggregation,
-            "threshold_grid": list(self.threshold_grid),
-            "model": asdict(self.model),
-        }
 
-
-_MODEL_FIELDS = {
-    "architecture": str,
-    "graph_variant": str,
-    "hidden_channels": int,
-    "num_layers": int,
-    "learning_rate": float,
-    "epochs": int,
-    "seed": int,
-    "threshold": float,
-}
-
-_TOP_FIELDS = {
-    "out_dir",
-    "corpus",
-    "prices_dir",
-    "labels",
-    "split_fractions",
-    "event_cap_hours",
-    "return_rule",
-    "aggregation",
-    "threshold_grid",
-    "model",
-}
+# Every model field has a default, whose type is the type the config must give.
+_MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig)}
+_TOP_FIELDS = {f.name for f in fields(PipelineConfig)}
 
 
 def build_config(
@@ -284,25 +241,29 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _config_hash(cfg: PipelineConfig, extra: dict) -> str:
-    payload = json.dumps({"config": cfg.as_dict(), "extra": extra}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def run_stage(
     name: str,
     cfg: PipelineConfig,
     inputs: Sequence[Path],
     runner: Callable[[], Sequence[Path]],
-    extra: Optional[dict] = None,
+    settings: dict,
+    optional: Sequence[Path] = (),
 ) -> None:
+    """Run `runner` unless its cache key and its outputs are unchanged.
+
+    The key is `settings` (the config values the stage uses) plus the hash
+    of every file in `inputs`, which must exist, and of every file in
+    `optional`, which enters as "absent" when missing.
+    """
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
-    config_hash = _config_hash(cfg, extra or {})
+    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
     input_hashes = {str(p): _sha256(p) for p in sorted(inputs)}
+    for p in optional:
+        input_hashes[str(p)] = _sha256(p) if p.exists() else "absent"
     if manifest_path.exists():
         try:
             stored = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -311,9 +272,9 @@ def run_stage(
         if (
             stored.get("config_hash") == config_hash
             and stored.get("inputs") == input_hashes
-            and all(Path(p).exists() for p in stored.get("outputs", {}))
             and all(
-                _sha256(Path(p)) == h for p, h in stored.get("outputs", {}).items()
+                Path(p).exists() and _sha256(Path(p)) == h
+                for p, h in stored.get("outputs", {}).items()
             )
         ):
             logger.info("%s: inputs unchanged, skipping", name)
@@ -325,10 +286,7 @@ def run_stage(
         "inputs": input_hashes,
         "outputs": {str(p): _sha256(Path(p)) for p in sorted(set(outputs))},
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(
-        json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
-    )
+    _write_json(manifest_path, manifest)
     logger.info("%s: wrote %d artifact(s)", name, len(outputs))
 
 
@@ -339,44 +297,86 @@ def _write_json(path: Path, obj) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# What the stages read: a path relative to the output directory, or a
+# function of (config, options) that lists paths.
+
+PathList = Callable[[PipelineConfig, dict], list[Path]]
+GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv")
+STANDARDIZATION = "features/standardization.json"
 
 
-def stage_parse(cfg: PipelineConfig) -> None:
-    def runner() -> list[Path]:
-        messages, report = ingest.read_corpus(cfg.corpus)
-        if not messages:
-            raise DataError(f"parse: no crowd-pump messages found in {cfg.corpus}")
-        out = cfg.out_dir / "messages.jsonl"
-        ingest.write_messages(out, messages)
-        summary = dict(report.as_dict())
-        summary["accepted"] = len(messages)
-        report_path = _write_json(cfg.out_dir / "skip_report.json", summary)
-        return [out, report_path]
-
-    run_stage("parse", cfg, [cfg.corpus], runner)
+def _graph_files(suffixes: Sequence[str], cfg: PipelineConfig, opts: dict) -> list[Path]:
+    """graphs/<period>/<coin><suffix> for every graph in graphs/index.json."""
+    index_path = cfg.out_dir / "graphs" / "index.json"
+    if not index_path.exists():
+        return []
+    index = json.loads(index_path.read_text(encoding="utf-8"))
+    return [
+        index_path.parent / entry["period"] / f"{entry['coin']}{suffix}"
+        for entry in index["graphs"]
+        for suffix in suffixes
+    ]
 
 
-def stage_split(cfg: PipelineConfig) -> None:
-    messages_path = cfg.out_dir / "messages.jsonl"
+_graph_tables = functools.partial(_graph_files, GRAPH_TABLES)
+_graph_events = functools.partial(_graph_files, (".events.json",))
 
-    def runner() -> list[Path]:
-        messages = ingest.read_messages(messages_path)
-        try:
-            plan = evaluation.chronological_split(messages, cfg.split_fractions)
-        except SplitInfeasible as exc:
-            raise DataError(f"split: {exc}")
-        payload = {
-            "cut1": plan.cut1.isoformat(),
-            "cut2": plan.cut2.isoformat(),
-            "fractions": list(plan.fractions),
-            "tokens": [list(t) for t in plan.tokens],
-            "dropped": [list(t) for t in plan.dropped],
-            "message_counts": list(plan.message_counts),
-        }
-        return [_write_json(cfg.out_dir / "split_plan.json", payload)]
 
-    run_stage("split", cfg, [messages_path], runner)
+def _features_path(cfg: PipelineConfig, split: str) -> Path:
+    """features/<split>.csv, or features/all.csv after `events --single-period`."""
+    path = cfg.out_dir / "features" / f"{split}.csv"
+    alt = cfg.out_dir / "features" / "all.csv"
+    return alt if not path.exists() and alt.exists() else path
+
+
+def _split_features(cfg: PipelineConfig, opts: dict) -> list[Path]:
+    return [_features_path(cfg, opts["split"])]
+
+
+def _price_files(cfg: PipelineConfig, opts: dict) -> list[Path]:
+    if cfg.prices_dir is None or not Path(cfg.prices_dir).is_dir():
+        return []
+    return sorted(Path(cfg.prices_dir).glob("*.csv"))
+
+
+def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
+    paths: list[Path] = []
+    for item in reads:
+        paths.extend([cfg.out_dir / item] if isinstance(item, str) else item(cfg, opts))
+    return paths
+
+
+# ---------------------------------------------------------------------------
+# What the stages do: each returns the artifacts it wrote.
+
+
+def _parse(cfg: PipelineConfig) -> list[Path]:
+    messages, report = ingest.read_corpus(cfg.corpus)
+    if not messages:
+        raise DataError(f"parse: no crowd-pump messages found in {cfg.corpus}")
+    out = cfg.out_dir / "messages.jsonl"
+    ingest.write_messages(out, messages)
+    summary = dict(report.as_dict())
+    summary["accepted"] = len(messages)
+    report_path = _write_json(cfg.out_dir / "skip_report.json", summary)
+    return [out, report_path]
+
+
+def _split(cfg: PipelineConfig) -> list[Path]:
+    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+    try:
+        plan = evaluation.chronological_split(messages, cfg.split_fractions)
+    except SplitInfeasible as exc:
+        raise DataError(f"split: {exc}")
+    payload = {
+        "cut1": plan.cut1.isoformat(),
+        "cut2": plan.cut2.isoformat(),
+        "fractions": list(plan.fractions),
+        "tokens": [list(t) for t in plan.tokens],
+        "dropped": [list(t) for t in plan.dropped],
+        "message_counts": list(plan.message_counts),
+    }
+    return [_write_json(cfg.out_dir / "split_plan.json", payload)]
 
 
 def _load_split_plan(cfg: PipelineConfig) -> evaluation.SplitPlan:
@@ -392,39 +392,28 @@ def _load_split_plan(cfg: PipelineConfig) -> evaluation.SplitPlan:
     )
 
 
-def stage_events(cfg: PipelineConfig, single_period: bool = False) -> None:
-    messages_path = cfg.out_dir / "messages.jsonl"
-    inputs = [messages_path]
-    plan_path = cfg.out_dir / "split_plan.json"
-    if not single_period:
-        inputs.append(plan_path)
-
-    def runner() -> list[Path]:
-        messages = ingest.read_messages(messages_path)
-        cap = timedelta(hours=cfg.event_cap_hours)
-        if single_period:
-            t0 = min(m.source_datetime for m in messages)
-            t1 = max(m.source_datetime for m in messages) + timedelta(seconds=1)
-            periods = [events_mod.ObservationPeriod(start=t0, end=t1, label="all")]
-            kept = messages
-        else:
-            plan = _load_split_plan(cfg)
-            t0 = min(m.source_datetime for m in messages)
-            t1 = max(m.source_datetime for m in messages) + timedelta(seconds=1)
-            periods = [
-                events_mod.ObservationPeriod(start=t0, end=plan.cut1, label="train"),
-                events_mod.ObservationPeriod(start=plan.cut1, end=plan.cut2, label="val"),
-                events_mod.ObservationPeriod(start=plan.cut2, end=t1, label="test"),
-            ]
-            kept = [m for m in messages if plan.split_of(m) is not None]
-        event_sets = events_mod.build_event_sets(kept, periods, cap)
-        if not event_sets:
-            raise DataError("events: no events produced from the corpus")
-        out = cfg.out_dir / "events.jsonl"
-        events_mod.write_events(out, event_sets)
-        return [out]
-
-    run_stage("events", cfg, inputs, runner, extra={"single_period": single_period})
+def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
+    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+    cap = timedelta(hours=cfg.event_cap_hours)
+    t0 = min(m.source_datetime for m in messages)
+    t1 = max(m.source_datetime for m in messages) + timedelta(seconds=1)
+    if single_period:
+        periods = [events_mod.ObservationPeriod(start=t0, end=t1, label="all")]
+        kept = messages
+    else:
+        plan = _load_split_plan(cfg)
+        periods = [
+            events_mod.ObservationPeriod(start=t0, end=plan.cut1, label="train"),
+            events_mod.ObservationPeriod(start=plan.cut1, end=plan.cut2, label="val"),
+            events_mod.ObservationPeriod(start=plan.cut2, end=t1, label="test"),
+        ]
+        kept = [m for m in messages if plan.split_of(m) is not None]
+    event_sets = events_mod.build_event_sets(kept, periods, cap)
+    if not event_sets:
+        raise DataError("events: no events produced from the corpus")
+    out = cfg.out_dir / "events.jsonl"
+    events_mod.write_events(out, event_sets)
+    return [out]
 
 
 def _read_event_sets(cfg: PipelineConfig):
@@ -434,65 +423,49 @@ def _read_event_sets(cfg: PipelineConfig):
     return messages, event_sets
 
 
-def stage_flag(cfg: PipelineConfig) -> None:
-    messages_path = cfg.out_dir / "messages.jsonl"
-    events_path = cfg.out_dir / "events.jsonl"
-
-    def runner() -> list[Path]:
-        _, event_sets = _read_event_sets(cfg)
-        all_events = [e for events in event_sets.values() for e in events]
-        all_events.sort(key=lambda e: e.event_id)
-        flags = events_mod.flag_concurrent_broadcasts(all_events)
-        out = cfg.out_dir / "flags.jsonl"
-        events_mod.write_flags(out, flags)
-        return [out]
-
-    run_stage("flag", cfg, [messages_path, events_path], runner)
+def _flag(cfg: PipelineConfig) -> list[Path]:
+    _, event_sets = _read_event_sets(cfg)
+    all_events = [e for events in event_sets.values() for e in events]
+    all_events.sort(key=lambda e: e.event_id)
+    flags = events_mod.flag_concurrent_broadcasts(all_events)
+    out = cfg.out_dir / "flags.jsonl"
+    events_mod.write_flags(out, flags)
+    return [out]
 
 
-def stage_graphs(cfg: PipelineConfig) -> None:
-    messages_path = cfg.out_dir / "messages.jsonl"
-    events_path = cfg.out_dir / "events.jsonl"
-
-    def runner() -> list[Path]:
-        _, event_sets = _read_event_sets(cfg)
-        graphs, dropped = diffusion.build_graphs(event_sets, mode=cfg.aggregation)
-        if not graphs:
-            raise DataError(
-                "graphs: every coin fell below the minimum spreader count "
-                f"({diffusion.MIN_SPREADERS})"
-            )
-        root = cfg.out_dir / "graphs"
-        written: list[Path] = []
-        index = []
-        for graph_id in sorted(graphs):
-            graph = graphs[graph_id]
-            directory = root / graph.period
-            diffusion.save_graph(graph, directory)
-            stem = graph.cryptocurrency
-            written.extend(
-                directory / f"{stem}{suffix}"
-                for suffix in (".nodes.tsv", ".weighted.tsv", ".directed.tsv", ".events.json")
-            )
-            index.append({"period": graph.period, "coin": graph.cryptocurrency})
-        index_payload = {
-            "graphs": index,
-            "dropped": [
-                {"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped
-            ],
-        }
-        written.append(_write_json(root / "index.json", index_payload))
-        return written
-
-    run_stage("graphs", cfg, [messages_path, events_path], runner)
+def _graphs(cfg: PipelineConfig) -> list[Path]:
+    _, event_sets = _read_event_sets(cfg)
+    graphs, dropped = diffusion.build_graphs(event_sets, mode=cfg.aggregation)
+    if not graphs:
+        raise DataError(
+            "graphs: every coin fell below the minimum spreader count "
+            f"({diffusion.MIN_SPREADERS})"
+        )
+    root = cfg.out_dir / "graphs"
+    written: list[Path] = []
+    index = []
+    for graph_id in sorted(graphs):
+        graph = graphs[graph_id]
+        directory = root / graph.period
+        diffusion.save_graph(graph, directory)
+        stem = graph.cryptocurrency
+        written.extend(
+            directory / f"{stem}{suffix}" for suffix in (*GRAPH_TABLES, ".events.json")
+        )
+        index.append({"period": graph.period, "coin": graph.cryptocurrency})
+    index_payload = {
+        "graphs": index,
+        "dropped": [
+            {"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped
+        ],
+    }
+    written.append(_write_json(root / "index.json", index_payload))
+    return written
 
 
 def _load_graphs(cfg: PipelineConfig) -> dict[str, diffusion.DiffusionGraph]:
     root = cfg.out_dir / "graphs"
-    index_path = root / "index.json"
-    if not index_path.exists():
-        raise DataError(f"featurize: missing required artifact(s): {index_path}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    index = json.loads((root / "index.json").read_text(encoding="utf-8"))
     graphs = {}
     for entry in index["graphs"]:
         graph = diffusion.load_graph(root / entry["period"], entry["coin"], entry["period"])
@@ -500,82 +473,70 @@ def _load_graphs(cfg: PipelineConfig) -> dict[str, diffusion.DiffusionGraph]:
     return graphs
 
 
-def _load_labels(cfg: PipelineConfig) -> dict[str, int]:
-    if cfg.labels is None or not Path(cfg.labels).exists():
-        return {}
-    return synth_mod.load_labels(cfg.labels)
+def _featurize(cfg: PipelineConfig) -> list[Path]:
+    messages, event_sets = _read_event_sets(cfg)
+    graphs = _load_graphs(cfg)
+    written: list[Path] = []
 
+    series_by_coin: dict[str, market.PriceSeries] = {}
+    if cfg.prices_dir is not None and Path(cfg.prices_dir).is_dir():
+        for pair, series in market.load_price_dir(cfg.prices_dir).items():
+            series_by_coin[ingest.normalize_symbol(pair)] = series
+    outcomes, missing = market.compute_outcomes(
+        messages, series_by_coin, rule=cfg.return_rule
+    )
+    out_path = cfg.out_dir / "outcomes.jsonl"
+    market.write_outcomes(out_path, outcomes)
+    written.append(out_path)
+    if missing:
+        logger.warning("featurize: %d message(s) had no usable price data", len(missing))
 
-def stage_featurize(cfg: PipelineConfig) -> None:
-    messages_path = cfg.out_dir / "messages.jsonl"
-    events_path = cfg.out_dir / "events.jsonl"
-    index_path = cfg.out_dir / "graphs" / "index.json"
+    labels = {}
+    if cfg.labels is not None and Path(cfg.labels).exists():
+        labels = synth_mod.load_labels(cfg.labels)
+    by_graph_spreader: dict[str, dict[str, list]] = {}
+    for (period, coin), events in event_sets.items():
+        bucket = by_graph_spreader.setdefault(f"{period}/{coin}", {})
+        for event in events:
+            for message in event.messages:
+                bucket.setdefault(message.entity_id, []).append(message)
 
-    def runner() -> list[Path]:
-        messages, event_sets = _read_event_sets(cfg)
-        graphs = _load_graphs(cfg)
-        written: list[Path] = []
-
-        series_by_coin: dict[str, market.PriceSeries] = {}
-        if cfg.prices_dir is not None and Path(cfg.prices_dir).is_dir():
-            for pair, series in market.load_price_dir(cfg.prices_dir).items():
-                series_by_coin[ingest.normalize_symbol(pair)] = series
-        outcomes, missing = market.compute_outcomes(
-            messages, series_by_coin, rule=cfg.return_rule
+    matrices: dict[str, FeatureMatrix] = {}
+    communities = {}
+    for graph_id in sorted(graphs):
+        graph = graphs[graph_id]
+        rows = compute_feature_rows(
+            graph, by_graph_spreader.get(graph_id, {}), outcomes
         )
-        out_path = cfg.out_dir / "outcomes.jsonl"
-        market.write_outcomes(out_path, outcomes)
-        written.append(out_path)
-        if missing:
-            logger.warning("featurize: %d message(s) had no usable price data", len(missing))
+        graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
+        matrices[graph_id] = assemble_matrix(graph, rows, graph_labels)
+        partition = louvain(graph.weighted)
+        communities[graph_id] = {
+            "assignment": {
+                node: int(partition.assignment[i]) for i, node in enumerate(graph.nodes)
+            },
+            "modularity": float(partition.modularity),
+            "n_communities": partition.n_communities,
+        }
+    written.append(_write_json(cfg.out_dir / "features" / "communities.json", communities))
 
-        labels = _load_labels(cfg)
-        by_graph_spreader: dict[str, dict[str, list]] = {}
-        for (period, coin), events in event_sets.items():
-            bucket = by_graph_spreader.setdefault(f"{period}/{coin}", {})
-            for event in events:
-                for message in event.messages:
-                    bucket.setdefault(message.entity_id, []).append(message)
-
-        matrices: dict[str, FeatureMatrix] = {}
-        communities = {}
-        for graph_id in sorted(graphs):
-            graph = graphs[graph_id]
-            rows = compute_feature_rows(
-                graph, by_graph_spreader.get(graph_id, {}), outcomes
-            )
-            graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
-            matrices[graph_id] = assemble_matrix(graph, rows, graph_labels)
-            partition = louvain(graph.weighted)
-            communities[graph_id] = {
-                "assignment": {
-                    node: int(partition.assignment[i]) for i, node in enumerate(graph.nodes)
-                },
-                "modularity": float(partition.modularity),
-                "n_communities": partition.n_communities,
-            }
-        written.append(_write_json(cfg.out_dir / "features" / "communities.json", communities))
-
-        by_period: dict[str, list[FeatureMatrix]] = {}
-        for graph_id in sorted(matrices):
-            by_period.setdefault(matrices[graph_id].period, []).append(matrices[graph_id])
-        fit_period = "train" if "train" in by_period else sorted(by_period)[0]
-        standardizer = Standardizer.fit([m.x for m in by_period[fit_period]])
-        std_path = cfg.out_dir / "features" / "standardization.json"
-        std_path.parent.mkdir(parents=True, exist_ok=True)
-        std_path.write_text(standardizer.to_json(), encoding="utf-8")
-        written.append(std_path)
-        for period, mats in sorted(by_period.items()):
-            csv_path = cfg.out_dir / "features" / f"{period}.csv"
-            write_features_csv(csv_path, mats)
-            written.append(csv_path)
-        return written
-
-    run_stage("featurize", cfg, [messages_path, events_path, index_path], runner)
+    by_period: dict[str, list[FeatureMatrix]] = {}
+    for graph_id in sorted(matrices):
+        by_period.setdefault(matrices[graph_id].period, []).append(matrices[graph_id])
+    fit_period = "train" if "train" in by_period else sorted(by_period)[0]
+    standardizer = Standardizer.fit([m.x for m in by_period[fit_period]])
+    std_path = cfg.out_dir / "features" / "standardization.json"
+    std_path.parent.mkdir(parents=True, exist_ok=True)
+    std_path.write_text(standardizer.to_json(), encoding="utf-8")
+    written.append(std_path)
+    for period, mats in sorted(by_period.items()):
+        csv_path = cfg.out_dir / "features" / f"{period}.csv"
+        write_features_csv(csv_path, mats)
+        written.append(csv_path)
+    return written
 
 
 def _graph_data(
-    cfg: PipelineConfig,
     matrices: Sequence[FeatureMatrix],
     standardizer: Standardizer,
     graphs: dict[str, diffusion.DiffusionGraph],
@@ -600,199 +561,261 @@ def _graph_data(
     return out
 
 
-def _read_split_features(cfg: PipelineConfig, split: str) -> list[FeatureMatrix]:
-    path = cfg.out_dir / "features" / f"{split}.csv"
-    if not path.exists():
-        raise DataError(f"missing required artifact(s): {path}")
-    return read_features_csv(path)
-
-
-def _features_path(cfg: PipelineConfig, split: str) -> Path:
-    path = cfg.out_dir / "features" / f"{split}.csv"
-    if not path.exists() and split == "test":
-        alt = cfg.out_dir / "features" / "all.csv"
-        if alt.exists():
-            return alt
-    return path
-
-
-def stage_train(cfg: PipelineConfig) -> None:
+def _train(cfg: PipelineConfig) -> list[Path]:
+    std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
+    standardizer = Standardizer.from_json(std_text)
+    graphs = _load_graphs(cfg)
     train_path = _features_path(cfg, "train")
-    if not train_path.exists():
-        alt = cfg.out_dir / "features" / "all.csv"
-        if alt.exists():
-            train_path = alt
+    train_mats = [m for m in read_features_csv(train_path) if np.all(m.y >= 0)]
+    if not train_mats:
+        raise DataError("train: no fully labeled training graphs")
+    val_mats = []
     val_path = cfg.out_dir / "features" / "val.csv"
-    std_path = cfg.out_dir / "features" / "standardization.json"
-    inputs = [train_path, std_path]
     if val_path.exists():
-        inputs.append(val_path)
-
-    def runner() -> list[Path]:
-        standardizer = Standardizer.from_json(std_path.read_text(encoding="utf-8"))
-        graphs = _load_graphs(cfg)
-        train_mats = [m for m in read_features_csv(train_path) if np.all(m.y >= 0)]
-        if not train_mats:
-            raise DataError("train: no fully labeled training graphs")
-        val_mats = []
-        if val_path.exists():
-            val_mats = [m for m in read_features_csv(val_path) if np.all(m.y >= 0)]
-        train_graphs = _graph_data(cfg, train_mats, standardizer, graphs)
-        val_graphs = _graph_data(cfg, val_mats, standardizer, graphs)
-        params, history = train(cfg.model, train_graphs, val_graphs)
-        if not all(np.isfinite(r.train_loss) for r in history):
-            raise NumericalError("train: loss diverged to a non-finite value")
-        model_path = cfg.out_dir / "model.json"
-        save_params(model_path, params, cfg.model, in_dim=train_graphs[0].x.shape[1])
-        history_path = cfg.out_dir / "history.csv"
-        write_history_csv(history_path, history)
-        return [model_path, history_path]
-
-    run_stage("train", cfg, inputs, runner)
-
-
-def stage_infer(cfg: PipelineConfig, split: str = "test") -> None:
+        val_mats = [m for m in read_features_csv(val_path) if np.all(m.y >= 0)]
+    train_graphs = _graph_data(train_mats, standardizer, graphs)
+    val_graphs = _graph_data(val_mats, standardizer, graphs)
+    params, history = train(cfg.model, train_graphs, val_graphs)
+    if not all(np.isfinite(r.train_loss) for r in history):
+        raise NumericalError("train: loss diverged to a non-finite value")
     model_path = cfg.out_dir / "model.json"
-    feat_path = _features_path(cfg, split)
-    std_path = cfg.out_dir / "features" / "standardization.json"
+    save_params(model_path, params, cfg.model, in_dim=train_graphs[0].x.shape[1])
+    history_path = cfg.out_dir / "history.csv"
+    write_history_csv(history_path, history)
+    return [model_path, history_path]
 
-    def runner() -> list[Path]:
-        params, model_cfg, _ = load_params(model_path)
-        standardizer = Standardizer.from_json(std_path.read_text(encoding="utf-8"))
-        graphs = _load_graphs(cfg)
-        mats = read_features_csv(feat_path)
-        data = _graph_data(cfg, mats, standardizer, graphs)
-        rows = []
-        timings = []
-        for g in data:
-            started = time.perf_counter()
-            labels_pred, probs = predict(params, model_cfg, g)
-            timings.append({"nodes": g.n_nodes, "seconds": time.perf_counter() - started})
-            for node, pred, prob in zip(g.nodes, labels_pred, probs):
-                rows.append(
-                    {
-                        "graph_id": g.graph_id,
-                        "entity_id": node,
-                        "probability": float(prob),
-                        "predicted": int(pred),
-                    }
-                )
-        out = cfg.out_dir / "predictions.jsonl"
-        with open(out, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row) + "\n")
-        timing_path = _write_json(cfg.out_dir / "inference_timing.json", timings)
-        return [out, timing_path]
 
-    run_stage("infer", cfg, [model_path, feat_path, std_path], runner, extra={"split": split})
-    detected = []
-    with open(cfg.out_dir / "predictions.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            if row["predicted"] == 1:
-                detected.append(
-                    {
-                        "graph_id": row["graph_id"],
-                        "entity_id": row["entity_id"],
-                        "probability": row["probability"],
-                    }
-                )
+def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
+    params, model_cfg, _ = load_params(cfg.out_dir / "model.json")
+    std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
+    standardizer = Standardizer.from_json(std_text)
+    graphs = _load_graphs(cfg)
+    mats = read_features_csv(_features_path(cfg, split))
+    data = _graph_data(mats, standardizer, graphs)
+    rows = []
+    timings = []
+    for g in data:
+        started = time.perf_counter()
+        labels_pred, probs = predict(params, model_cfg, g)
+        timings.append({"nodes": g.n_nodes, "seconds": time.perf_counter() - started})
+        for node, pred, prob in zip(g.nodes, labels_pred, probs):
+            rows.append(
+                {"graph_id": g.graph_id, "entity_id": node, "probability": float(prob),
+                 "predicted": int(pred)}
+            )
+    out = cfg.out_dir / "predictions.jsonl"
+    with open(out, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+    timing_path = _write_json(cfg.out_dir / "inference_timing.json", timings)
+    return [out, timing_path]
+
+
+def _print_detected(cfg: PipelineConfig) -> None:
+    lines = (cfg.out_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+    detected = [
+        {key: row[key] for key in ("graph_id", "entity_id", "probability")}
+        for row in map(json.loads, lines)
+        if row["predicted"] == 1
+    ]
     detected.sort(key=lambda r: (r["graph_id"], -r["probability"], r["entity_id"]))
     print(json.dumps(detected, indent=1))
 
 
-def stage_evaluate(cfg: PipelineConfig, split: str = "test") -> None:
-    pred_path = cfg.out_dir / "predictions.jsonl"
-    feat_path = _features_path(cfg, split)
+def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
+    mats = read_features_csv(_features_path(cfg, split))
+    label_by_node: dict[tuple[str, str], int] = {}
+    rows_by_node: dict[tuple[str, str], np.ndarray] = {}
+    for mat in mats:
+        for i, node in enumerate(mat.entity_ids):
+            label_by_node[(mat.graph_id, node)] = int(mat.y[i])
+            rows_by_node[(mat.graph_id, node)] = mat.x[i]
+    probs, labels, feature_rows = [], [], []
+    with open(cfg.out_dir / "predictions.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            key = (row["graph_id"], row["entity_id"])
+            label = label_by_node.get(key, -1)
+            if label < 0:
+                continue
+            probs.append(row["probability"])
+            labels.append(label)
+            feature_rows.append(rows_by_node[key])
+    if not probs:
+        raise DataError(f"evaluate: no labeled nodes in split {split!r}")
+    p = np.array(probs)
+    y = np.array(labels)
+    sweep = evaluation.threshold_sweep(p, y, cfg.threshold_grid)
+    best = evaluation.best_threshold(sweep)
+    at_default = evaluation.metrics(evaluation.confusion_from(y, p >= cfg.model.threshold))
+    at_best = evaluation.metrics(evaluation.confusion_from(y, p >= best))
+    try:
+        auc = evaluation.roc_auc(p, y)
+    except ValueError:
+        auc = None
+    tests = evaluation.feature_t_tests(np.array(feature_rows), y, FEATURE_COLUMNS)
+    t_tests = {
+        name: None if r is None else {"statistic": float(r[0]), "p_value": float(r[1])}
+        for name, r in tests.items()
+    }
+    epoch_seconds = []
     history_path = cfg.out_dir / "history.csv"
-
-    def runner() -> list[Path]:
-        mats = read_features_csv(feat_path)
-        label_by_node: dict[tuple[str, str], int] = {}
-        rows_by_node: dict[tuple[str, str], np.ndarray] = {}
-        for mat in mats:
-            for i, node in enumerate(mat.entity_ids):
-                label_by_node[(mat.graph_id, node)] = int(mat.y[i])
-                rows_by_node[(mat.graph_id, node)] = mat.x[i]
-        probs, labels, feature_rows = [], [], []
-        with open(pred_path, encoding="utf-8") as fh:
+    if history_path.exists():
+        with open(history_path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            col = header.index("epoch_seconds")
             for line in fh:
-                row = json.loads(line)
-                key = (row["graph_id"], row["entity_id"])
-                label = label_by_node.get(key, -1)
-                if label < 0:
-                    continue
-                probs.append(row["probability"])
-                labels.append(label)
-                feature_rows.append(rows_by_node[key])
-        if not probs:
-            raise DataError(f"evaluate: no labeled nodes in split {split!r}")
-        p = np.array(probs)
-        y = np.array(labels)
-        sweep = evaluation.threshold_sweep(p, y, cfg.threshold_grid)
-        best = evaluation.best_threshold(sweep)
-        at_default = evaluation.metrics(
-            evaluation.confusion_from(y, (p >= cfg.model.threshold).astype(int))
-        )
-        at_best = evaluation.metrics(
-            evaluation.confusion_from(y, (p >= best).astype(int))
-        )
-        try:
-            auc = evaluation.roc_auc(p, y)
-        except ValueError:
-            auc = None
-        from .features import FEATURE_COLUMNS
+                if line.strip():
+                    epoch_seconds.append(float(line.strip().split(",")[col]))
+    inference_samples = []
+    timing_path = cfg.out_dir / "inference_timing.json"
+    if timing_path.exists():
+        timings = json.loads(timing_path.read_text(encoding="utf-8"))
+        inference_samples = [(entry["nodes"], entry["seconds"]) for entry in timings]
+    timing = evaluation.timing_report(epoch_seconds, inference_samples) if epoch_seconds else {}
+    flags_summary = {}
+    flags_path = cfg.out_dir / "flags.jsonl"
+    if flags_path.exists():
+        n_flags = sum(1 for line in open(flags_path, encoding="utf-8") if line.strip())
+        flags_summary = {"events_flagged": n_flags}
+    report = {
+        "split": split,
+        "n_nodes": int(len(y)),
+        "n_masterminds": int(np.sum(y == 1)),
+        "zero_denominator_rule": "metrics with zero denominators are reported as 0",
+        "threshold_default": cfg.model.threshold,
+        "metrics_at_default": at_default,
+        "best_threshold": best,
+        "metrics_at_best": at_best,
+        "auc": auc,
+        "sweep": sweep,
+        "t_tests": t_tests,
+        "flags": flags_summary,
+        "timing": timing,
+    }
+    return [_write_json(cfg.out_dir / "report.json", report)]
 
-        tests = evaluation.feature_t_tests(np.array(feature_rows), y, FEATURE_COLUMNS)
-        t_tests = {
-            name: (
-                None
-                if result is None
-                else {"statistic": float(result[0]), "p_value": float(result[1])}
-            )
-            for name, result in tests.items()
-        }
-        epoch_seconds = []
-        if history_path.exists():
-            with open(history_path, encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-                col = header.index("epoch_seconds")
-                for line in fh:
-                    if line.strip():
-                        epoch_seconds.append(float(line.strip().split(",")[col]))
-        inference_samples = []
-        timing_path = cfg.out_dir / "inference_timing.json"
-        if timing_path.exists():
-            for entry in json.loads(timing_path.read_text(encoding="utf-8")):
-                inference_samples.append((entry["nodes"], entry["seconds"]))
-        timing = (
-            evaluation.timing_report(epoch_seconds, inference_samples)
-            if epoch_seconds
-            else {}
-        )
-        flags_summary = {}
-        flags_path = cfg.out_dir / "flags.jsonl"
-        if flags_path.exists():
-            n_flags = sum(1 for line in open(flags_path, encoding="utf-8") if line.strip())
-            flags_summary = {"events_flagged": n_flags}
-        report = {
-            "split": split,
-            "n_nodes": int(len(y)),
-            "n_masterminds": int(np.sum(y == 1)),
-            "zero_denominator_rule": "metrics with zero denominators are reported as 0",
-            "threshold_default": cfg.model.threshold,
-            "metrics_at_default": at_default,
-            "best_threshold": best,
-            "metrics_at_best": at_best,
-            "auc": auc,
-            "sweep": sweep,
-            "t_tests": t_tests,
-            "flags": flags_summary,
-            "timing": timing,
-        }
-        return [_write_json(cfg.out_dir / "report.json", report)]
 
-    run_stage("evaluate", cfg, [pred_path, feat_path], runner, extra={"split": split})
+# ---------------------------------------------------------------------------
+# The stage table
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and its cache key.
+
+    `run(cfg, **opts)` does the work. `reads` lists the files it needs and
+    `reads_if_present` those it reads only when they exist; `keys` names the
+    settings it uses: config fields (dotted into `model`) or its `options`,
+    command-line flags given as {name: (default, help)}. A stage re-runs
+    when one of these or one of its outputs changed.
+    """
+
+    help: str
+    run: Callable[..., list[Path]]
+    reads: tuple[str | PathList, ...]
+    reads_if_present: tuple[str | PathList, ...] = ()
+    keys: tuple[str, ...] = ()
+    options: dict = field(default_factory=dict)
+
+
+GRAPHS = ("graphs/index.json", _graph_tables)
+SPLIT_OPTION = {"split": ("test", "feature split to use (default test)")}
+
+STAGES: dict[str, Stage] = {
+    "parse": Stage(
+        "extract crowd-pump messages from the raw corpus",
+        _parse,
+        reads=(lambda cfg, o: [cfg.corpus],),
+    ),
+    "split": Stage(
+        "search chronological train/val/test cuts by token count",
+        _split,
+        reads=("messages.jsonl",),
+        keys=("split_fractions",),
+    ),
+    "events": Stage(
+        "segment messages into crowd-pump events",
+        _events,
+        reads=(
+            "messages.jsonl",
+            lambda cfg, o: [] if o["single_period"] else [cfg.out_dir / "split_plan.json"],
+        ),
+        keys=("event_cap_hours", "single_period"),
+        options={
+            "single_period": (False, "skip the split plan and treat the whole corpus as one period")
+        },
+    ),
+    "flag": Stage(
+        "flag scripted concurrent broadcasts",
+        _flag,
+        reads=("messages.jsonl", "events.jsonl"),
+    ),
+    "graphs": Stage(
+        "infer diffusion graphs per (period, coin)",
+        _graphs,
+        reads=("messages.jsonl", "events.jsonl"),
+        keys=("aggregation",),
+    ),
+    "featurize": Stage(
+        "market outcomes, node features, communities",
+        _featurize,
+        reads=("messages.jsonl", "events.jsonl", *GRAPHS, _price_files),
+        reads_if_present=(_graph_events, lambda cfg, o: [cfg.labels] if cfg.labels else []),
+        keys=("return_rule",),
+    ),
+    "train": Stage(
+        "train the spreader classifier",
+        _train,
+        reads=(lambda cfg, o: [_features_path(cfg, "train")], STANDARDIZATION, *GRAPHS),
+        reads_if_present=("features/val.csv", _graph_events),
+        # The whole model config is saved into model.json.
+        keys=("model",),
+    ),
+    "infer": Stage(
+        "predict mastermind probabilities",
+        _infer,
+        reads=("model.json", _split_features, STANDARDIZATION, *GRAPHS),
+        reads_if_present=(_graph_events,),
+        keys=("split",),
+        options=SPLIT_OPTION,
+    ),
+    "evaluate": Stage(
+        "metrics, sweeps, t-tests, timing report",
+        _evaluate,
+        reads=("predictions.jsonl", _split_features),
+        reads_if_present=("history.csv", "inference_timing.json", "flags.jsonl"),
+        keys=("threshold_grid", "model.threshold", "split"),
+        options=SPLIT_OPTION,
+    ),
+}
+
+STAGE_ORDER = tuple(STAGES)
+
+
+def _settings(cfg: PipelineConfig, opts: dict, keys: Sequence[str]) -> dict:
+    """The values of `keys` in `opts` or else the config; a dotted key reads into `model`."""
+    settings = {**asdict(cfg), **opts}
+    return {key: functools.reduce(operator.getitem, key.split("."), settings) for key in keys}
+
+
+def _run(name: str, cfg: PipelineConfig, **opts) -> None:
+    stage = STAGES[name]
+    opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
+    reads, optional = _paths(cfg, opts, stage.reads), _paths(cfg, opts, stage.reads_if_present)
+    settings = _settings(cfg, opts, stage.keys)
+    run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional)
+
+
+stage_parse = functools.partial(_run, "parse")
+stage_split = functools.partial(_run, "split")
+stage_events = functools.partial(_run, "events")
+stage_flag = functools.partial(_run, "flag")
+stage_graphs = functools.partial(_run, "graphs")
+stage_featurize = functools.partial(_run, "featurize")
+stage_train = functools.partial(_run, "train")
+stage_infer = functools.partial(_run, "infer")
+stage_evaluate = functools.partial(_run, "evaluate")
 
 
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:
@@ -826,6 +849,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="model seed override")
 
 
+def _add_model_overrides(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--arch", choices=("gat", "graphsage"), help="architecture override")
+    parser.add_argument(
+        "--variant", choices=("weighted", "directed"), help="graph variant override"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perseus",
@@ -833,38 +863,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("parse", "extract crowd-pump messages from the raw corpus"),
-        ("split", "search chronological train/val/test cuts by token count"),
-        ("flag", "flag scripted concurrent broadcasts"),
-        ("graphs", "infer diffusion graphs per (period, coin)"),
-        ("featurize", "market outcomes, node features, communities"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         _add_common(p)
-
-    p = sub.add_parser("events", help="segment messages into crowd-pump events")
-    _add_common(p)
-    p.add_argument(
-        "--single-period",
-        action="store_true",
-        help="skip the split plan and treat the whole corpus as one period",
-    )
-
-    p = sub.add_parser("train", help="train the spreader classifier")
-    _add_common(p)
-    p.add_argument("--arch", choices=("gat", "graphsage"), help="architecture override")
-    p.add_argument(
-        "--variant", choices=("weighted", "directed"), help="graph variant override"
-    )
-
-    for name, helptext in (
-        ("infer", "predict mastermind probabilities"),
-        ("evaluate", "metrics, sweeps, t-tests, timing report"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.add_argument("--split", default="test", help="feature split to use (default test)")
+        for dest, (default, helptext) in stage.options.items():
+            flag = "--" + dest.replace("_", "-")
+            if default is False:
+                p.add_argument(flag, action="store_true", help=helptext)
+            else:
+                p.add_argument(flag, default=default, help=helptext)
+        if name == "train":
+            _add_model_overrides(p)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     _add_common(p)
@@ -878,8 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="run parse through evaluate in order")
     _add_common(p)
-    p.add_argument("--arch", choices=("gat", "graphsage"))
-    p.add_argument("--variant", choices=("weighted", "directed"))
+    _add_model_overrides(p)
 
     return parser
 
@@ -905,25 +913,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "parse":
-            stage_parse(cfg)
-        elif args.command == "split":
-            stage_split(cfg)
-        elif args.command == "events":
-            stage_events(cfg, single_period=args.single_period)
-        elif args.command == "flag":
-            stage_flag(cfg)
-        elif args.command == "graphs":
-            stage_graphs(cfg)
-        elif args.command == "featurize":
-            stage_featurize(cfg)
-        elif args.command == "train":
-            stage_train(cfg)
-        elif args.command == "infer":
-            stage_infer(cfg, split=args.split)
-        elif args.command == "evaluate":
-            stage_evaluate(cfg, split=args.split)
-        elif args.command == "synth":
+        if args.command == "synth":
             try:
                 synth_config = synth_mod.SynthConfig(
                     n_spreaders=args.spreaders,
@@ -937,17 +927,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 print(f"config error: synth: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
+            # A module global looked up at call time, so a wrapper set on it sees the call.
             stage_synth(cfg, synth_config)
-        elif args.command == "all":
-            stage_parse(cfg)
-            stage_split(cfg)
-            stage_events(cfg)
-            stage_flag(cfg)
-            stage_graphs(cfg)
-            stage_featurize(cfg)
-            stage_train(cfg)
-            stage_infer(cfg)
-            stage_evaluate(cfg)
+            return EXIT_OK
+        for name in STAGE_ORDER if args.command == "all" else (args.command,):
+            opts = {dest: getattr(args, dest) for dest in STAGES[name].options if dest in args}
+            # Looked up at call time, so a wrapper set on cli.stage_<name> sees the call.
+            globals()[f"stage_{name}"](cfg, **opts)
+            if name == "infer":
+                _print_detected(cfg)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

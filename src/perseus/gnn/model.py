@@ -14,10 +14,11 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..evaluation import f1_score
 from .layers import (
     Adam,
     bce_grad_wrt_logits,
@@ -157,17 +158,6 @@ def graph_loss(params, config, graph: GraphData) -> float:
     return bce_loss(forward(params, config, graph), graph.y.astype(float))
 
 
-def _f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
-    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
-    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -181,7 +171,6 @@ def train(
     config: ModelConfig,
     train_graphs: Sequence[GraphData],
     val_graphs: Sequence[GraphData] = (),
-    progress: Optional[Callable[[EpochRecord], None]] = None,
 ) -> tuple[list[dict[str, np.ndarray]], list[EpochRecord]]:
     """Train on the given graphs, one Adam step per graph per epoch.
 
@@ -204,12 +193,13 @@ def train(
             optimizer.step(params, grads)
             losses.append(loss)
         if val_graphs:
-            val_loss = float(np.mean([graph_loss(params, config, g) for g in val_graphs]))
-            y_true = np.concatenate([g.y for g in val_graphs])
-            y_pred = np.concatenate(
-                [(forward(params, config, g) >= 0.5).astype(int) for g in val_graphs]
+            val_probs = [forward(params, config, g) for g in val_graphs]
+            val_loss = float(
+                np.mean([bce_loss(p, g.y.astype(float)) for p, g in zip(val_probs, val_graphs)])
             )
-            val_f1 = _f1(y_true, y_pred)
+            y_true = np.concatenate([g.y for g in val_graphs])
+            y_pred = np.concatenate([(p >= 0.5).astype(int) for p in val_probs])
+            val_f1 = f1_score(y_true, y_pred)
             if val_f1 > best_f1:
                 best_f1 = val_f1
                 best = copy.deepcopy(params)
@@ -224,8 +214,6 @@ def train(
             epoch_seconds=time.perf_counter() - started,
         )
         history.append(record)
-        if progress is not None:
-            progress(record)
     return copy.deepcopy(best), history
 
 

@@ -39,10 +39,6 @@ class TradeDirection(str, Enum):
     SHORT = "Short"
 
 
-class CorpusError(ValueError):
-    """Raised for malformed corpus lines when fail_fast parsing is requested."""
-
-
 @dataclass(frozen=True)
 class RawMessage:
     """One line of an OSN corpus before any extraction has happened."""

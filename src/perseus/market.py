@@ -1,9 +1,8 @@
 """Price-series handling and per-message market outcomes.
 
 Outcomes are judged inside a 72-hour window after each announcement: the
-direction-aware extreme return, how many of the announced targets the price
-actually reached, and how trading volume during the pump compares with the
-three days before it.
+direction-aware extreme return and how many of the announced targets the
+price actually reached.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .ingest import CrowdPumpMessage, TradeDirection, parse_timestamp
 
 OUTCOME_WINDOW = timedelta(hours=72)
 FORWARD_FILL_LIMIT = timedelta(minutes=10)
-BASELINE_MINUTES = 72 * 60
 
 RETURN_DIRECTION_AWARE = "direction_aware"
 RETURN_PAPER_LITERAL = "paper_literal"
@@ -179,45 +177,6 @@ def targets_achieved(
     return achieved, len(targets)
 
 
-def estimate_volume_impact(
-    series: PriceSeries, message: CrowdPumpMessage, window: timedelta = OUTCOME_WINDOW
-) -> tuple[float, float]:
-    """(pump volume, baseline volume) around one announcement.
-
-    The pump lasts from the announcement to the window extreme; the baseline
-    is the mean per-minute volume over the three days before, scaled to the
-    same duration. Raises MissingData when nothing precedes the announcement.
-    """
-    p0, hi, lo_ext = _window_extremes(series, message, window)
-    lo_ix, hi_ix = _window_indices(series, message.source_datetime, window)
-    prices = series.price[lo_ix:hi_ix]
-    t0 = _posix(message.source_datetime)
-
-    long_side = message.trade_direction is TradeDirection.LONG
-    extreme = hi if long_side else lo_ext
-    if len(prices) and extreme != p0:
-        # earliest in-window point reaching the extreme
-        if long_side:
-            rel = int(np.flatnonzero(prices == prices.max())[0])
-        else:
-            rel = int(np.flatnonzero(prices == prices.min())[0])
-        extreme_ts = float(series.ts[lo_ix + rel])
-    else:
-        extreme_ts = t0  # the announcement itself is the extreme
-    duration_minutes = (extreme_ts - t0) / 60.0
-
-    pump_lo = lo_ix
-    pump_hi = int(np.searchsorted(series.ts, extreme_ts, side="right"))
-    pump_volume = float(series.volume[pump_lo:pump_hi].sum())
-
-    base_lo = int(np.searchsorted(series.ts, t0 - window.total_seconds(), side="left"))
-    base_hi = int(np.searchsorted(series.ts, t0, side="left"))
-    if base_hi <= base_lo:
-        raise MissingData(series.pair, f"before {message.source_datetime.isoformat()}", message.pid)
-    per_minute = float(series.volume[base_lo:base_hi].sum()) / BASELINE_MINUTES
-    return pump_volume, per_minute * duration_minutes
-
-
 def compute_outcomes(
     messages: Iterable[CrowdPumpMessage],
     series_by_coin: Mapping[str, PriceSeries],
@@ -268,21 +227,3 @@ def write_outcomes(path: Path | str, outcomes: Mapping[int, MarketOutcome]) -> N
                 )
                 + "\n"
             )
-
-
-def read_outcomes(path: Path | str) -> dict[int, MarketOutcome]:
-    out: dict[int, MarketOutcome] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            out[int(obj["pid"])] = MarketOutcome(
-                pid=int(obj["pid"]),
-                announcement_price=float(obj["announcement_price"]),
-                extreme_price=float(obj["extreme_price"]),
-                max_return=float(obj["max_return"]),
-                targets_achieved=int(obj["targets_achieved"]),
-                targets_total=int(obj["targets_total"]),
-            )
-    return out

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,26 +11,27 @@ from pathlib import Path
 
 import pytest
 
+from perseus.cli import STAGE_ORDER as STAGES
+
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-STAGES = (
-    "parse",
-    "split",
-    "events",
-    "flag",
-    "graphs",
-    "featurize",
-    "train",
-    "infer",
-    "evaluate",
-)
 
-
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "perseus", *args], capture_output=True, text=True
+        [sys.executable, "-m", "perseus", *args], capture_output=True, text=True, env=env
     )
+
+
+def stages_run(out, *args):
+    """Run `perseus all` on out with INFO logging; the stages that ran
+    rather than hit the cache, in order."""
+    done = run_cli("all", "--out", str(out), *args, env=dict(os.environ, PERSEUS_LOG="INFO"))
+    assert done.returncode == 0, done.stderr
+    skipped = re.findall(r"perseus\.cli: (\w+): inputs unchanged, skipping", done.stderr)
+    ran = re.findall(r"perseus\.cli: (\w+): wrote \d+ artifact", done.stderr)
+    assert sorted(skipped + ran) == sorted(STAGES), done.stderr
+    return ran
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +156,61 @@ def test_report_covers_the_required_keys(pipeline):
 def test_rerun_is_a_no_op(pipeline):
     tracked = ["model.json", "predictions.jsonl", "report.json", "events.jsonl"]
     before = {name: (pipeline / name).stat().st_mtime_ns for name in tracked}
-    done = run_cli("all", "--out", str(pipeline))
-    assert done.returncode == 0, done.stderr
+    assert stages_run(pipeline) == []
     after = {name: (pipeline / name).stat().st_mtime_ns for name in tracked}
     assert after == before
+
+
+@pytest.fixture
+def settled(pipeline, tmp_path):
+    """A copy of the pipeline out dir, re-run once so that every manifest
+    names the copy's own paths."""
+    out = tmp_path / "settled"
+    shutil.copytree(pipeline, out)
+    assert stages_run(out) == list(STAGES)
+    return out
+
+
+def write_config(path, **fields):
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+def test_label_edit_reruns_featurize_onwards(settled):
+    labels_path = settled / "data" / "labels.json"
+    obj = json.loads(labels_path.read_text())
+    obj["labels"] = {node: 1 - label for node, label in obj["labels"].items()}
+    labels_path.write_text(json.dumps(obj))
+    before = json.loads((settled / "report.json").read_text())
+    assert stages_run(settled) == ["featurize", "train", "infer", "evaluate"]
+    report = json.loads((settled / "report.json").read_text())
+    assert report["n_masterminds"] == before["n_nodes"] - before["n_masterminds"]
+
+
+def test_price_edit_reruns_featurize_onwards(settled):
+    outcomes = (settled / "outcomes.jsonl").read_bytes()
+    for path in sorted((settled / "data" / "prices").glob("*.csv")):
+        header, *rows = path.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        prices = [c[1] for c in cells][::-1]
+        path.write_text(
+            "\n".join([header] + [f"{c[0]},{p},{c[2]}" for c, p in zip(cells, prices)]) + "\n"
+        )
+    assert stages_run(settled) == ["featurize", "train", "infer", "evaluate"]
+    assert (settled / "outcomes.jsonl").read_bytes() != outcomes
+
+
+def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):
+    predictions = (settled / "predictions.jsonl").read_bytes()
+    config = write_config(tmp_path / "grid.json", threshold_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+    assert stages_run(settled, "--config", config) == ["evaluate"]
+    assert (settled / "predictions.jsonl").read_bytes() == predictions
+    assert len(json.loads((settled / "report.json").read_text())["sweep"]) == 5
+
+
+def test_epochs_edit_reruns_train_onwards(settled, tmp_path):
+    config = write_config(tmp_path / "epochs.json", model={"epochs": 20})
+    assert stages_run(settled, "--config", config) == ["train", "infer", "evaluate"]
 
 
 def test_training_is_byte_reproducible(pipeline, tmp_path):

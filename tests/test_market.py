@@ -1,4 +1,4 @@
-"""Price lookup, outcome windows, and volume-impact estimation."""
+"""Price lookup, outcome windows, and outcome files."""
 
 import json
 from datetime import datetime, timedelta, timezone
@@ -13,11 +13,9 @@ from perseus.market import (
     PriceSeries,
     RETURN_PAPER_LITERAL,
     compute_outcomes,
-    estimate_volume_impact,
     load_price_csv,
     max_return,
     price_at,
-    read_outcomes,
     targets_achieved,
     write_outcomes,
     write_price_csv,
@@ -152,22 +150,6 @@ def test_targets_achieved_is_monotone_in_the_window():
     assert late[0] >= early[0]
 
 
-def test_volume_impact_on_a_stationary_series():
-    points = [(m, 100.0, 1.0) for m in range(-72 * 60, 72 * 60 + 1)]
-    spike_minute = 60
-    points[72 * 60 + spike_minute] = (spike_minute, 110.0, 1.0)
-    s = series(points)
-    pump, baseline = estimate_volume_impact(s, signal())
-    assert pump == pytest.approx(60.0)
-    assert baseline == pytest.approx(60.0)
-
-    doubled = [
-        (m, p, v * 2 if 0 < m <= spike_minute else v) for m, p, v in points
-    ]
-    pump2, baseline2 = estimate_volume_impact(series(doubled), signal())
-    assert pump2 / baseline2 == pytest.approx(2.0)
-
-
 def test_compute_outcomes_collects_missing_pids():
     msgs = [signal(pid=1), signal(pid=2, coin="ARB")]
     s = series([(0, 100.0), (60, 110.0)])
@@ -185,7 +167,17 @@ def test_outcome_file_round_trip(tmp_path):
     outcomes, _ = compute_outcomes([signal(pid=5)], {"SUI": s})
     path = tmp_path / "outcomes.jsonl"
     write_outcomes(path, outcomes)
-    assert read_outcomes(path) == outcomes
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rows == [
+        {
+            "pid": 5,
+            "announcement_price": 100.0,
+            "extreme_price": 110.0,
+            "max_return": outcomes[5].max_return,
+            "targets_achieved": 1,
+            "targets_total": 1,
+        }
+    ]
 
 
 def test_price_csv_round_trip(tmp_path):
