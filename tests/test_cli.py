@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the installed CLI entry point."""
 
+import csv
 import json
 import math
 import os
@@ -63,9 +64,16 @@ def assert_close(got, want, where="report"):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
+def read_feature_rows(path):
+    """A features CSV as [header, [entity_id, label, graph_id, floats...], ...]."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return [header] + [[e, int(y), g, *map(float, xs)] for e, y, g, *xs in rows]
+
+
 def assert_matches_golden(out, name):
-    """Compare out/predictions.jsonl and out/report.json (minus `timing`)
-    with the pinned copies in tests/golden/<name>/.
+    """Compare out/predictions.jsonl, out/report.json (minus `timing`) and
+    every pinned out/features/*.csv with the copies in tests/golden/<name>/.
 
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
@@ -74,6 +82,7 @@ def assert_matches_golden(out, name):
 
         cp OUT/predictions.jsonl tests/golden/<name>/
         python -c "$STRIP" OUT/report.json > tests/golden/<name>/report.json
+        cp OUT/features/{train,val,test}.csv tests/golden/synth_default/features/
 
     where STRIP is this Python, which drops the machine-dependent `timing`:
 
@@ -92,6 +101,9 @@ def assert_matches_golden(out, name):
     report = json.loads((out / "report.json").read_text())
     report.pop("timing")
     assert_close(report, json.loads((golden / "report.json").read_text()), f"{name}/report")
+    for pinned in sorted((golden / "features").glob("*.csv")):
+        got = read_feature_rows(out / "features" / pinned.name)
+        assert_close(got, read_feature_rows(pinned), f"{name}/features/{pinned.name}")
 
 
 def test_default_run_matches_golden(pipeline):
