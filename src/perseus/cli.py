@@ -253,17 +253,24 @@ def run_stage(
 
     The key is `settings` (the config values the stage uses) plus the hash
     of every file in `inputs`, which must exist, and of every file in
-    `optional`, which enters as "absent" when missing.
+    `optional`, which enters as "absent" when missing. Files under the out
+    dir, which every output is, are named relative to it, so a copied or
+    moved out dir keeps its cache.
     """
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
+
+    def key(path: Path) -> str:
+        path = Path(path)
+        return str(path.relative_to(cfg.out_dir) if path.is_relative_to(cfg.out_dir) else path)
+
     config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
-    input_hashes = {str(p): _sha256(p) for p in sorted(inputs)}
+    input_hashes = {key(p): _sha256(p) for p in sorted(inputs)}
     for p in optional:
-        input_hashes[str(p)] = _sha256(p) if p.exists() else "absent"
+        input_hashes[key(p)] = _sha256(p) if p.exists() else "absent"
     if manifest_path.exists():
         try:
             stored = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -273,7 +280,7 @@ def run_stage(
             stored.get("config_hash") == config_hash
             and stored.get("inputs") == input_hashes
             and all(
-                Path(p).exists() and _sha256(Path(p)) == h
+                (cfg.out_dir / p).exists() and _sha256(cfg.out_dir / p) == h
                 for p, h in stored.get("outputs", {}).items()
             )
         ):
@@ -284,7 +291,7 @@ def run_stage(
         "stage": name,
         "config_hash": config_hash,
         "inputs": input_hashes,
-        "outputs": {str(p): _sha256(Path(p)) for p in sorted(set(outputs))},
+        "outputs": {key(p): _sha256(Path(p)) for p in sorted(set(outputs))},
     }
     _write_json(manifest_path, manifest)
     logger.info("%s: wrote %d artifact(s)", name, len(outputs))
@@ -301,12 +308,12 @@ def _write_json(path: Path, obj) -> Path:
 # function of (config, options) that lists paths.
 
 PathList = Callable[[PipelineConfig, dict], list[Path]]
-GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv")
+GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv", ".events.json")
 STANDARDIZATION = "features/standardization.json"
 
 
-def _graph_files(suffixes: Sequence[str], cfg: PipelineConfig, opts: dict) -> list[Path]:
-    """graphs/<period>/<coin><suffix> for every graph in graphs/index.json."""
+def _graph_tables(cfg: PipelineConfig, opts: dict) -> list[Path]:
+    """graphs/<period>/<coin><table> for every graph in graphs/index.json."""
     index_path = cfg.out_dir / "graphs" / "index.json"
     if not index_path.exists():
         return []
@@ -314,12 +321,8 @@ def _graph_files(suffixes: Sequence[str], cfg: PipelineConfig, opts: dict) -> li
     return [
         index_path.parent / entry["period"] / f"{entry['coin']}{suffix}"
         for entry in index["graphs"]
-        for suffix in suffixes
+        for suffix in GRAPH_TABLES
     ]
-
-
-_graph_tables = functools.partial(_graph_files, GRAPH_TABLES)
-_graph_events = functools.partial(_graph_files, (".events.json",))
 
 
 def _features_path(cfg: PipelineConfig, split: str) -> Path:
@@ -448,10 +451,7 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
         graph = graphs[graph_id]
         directory = root / graph.period
         diffusion.save_graph(graph, directory)
-        stem = graph.cryptocurrency
-        written.extend(
-            directory / f"{stem}{suffix}" for suffix in (*GRAPH_TABLES, ".events.json")
-        )
+        written.extend(directory / f"{graph.cryptocurrency}{t}" for t in GRAPH_TABLES)
         index.append({"period": graph.period, "coin": graph.cryptocurrency})
     index_payload = {
         "graphs": index,
@@ -761,14 +761,14 @@ STAGES: dict[str, Stage] = {
         "market outcomes, node features, communities",
         _featurize,
         reads=("messages.jsonl", "events.jsonl", *GRAPHS, _price_files),
-        reads_if_present=(_graph_events, lambda cfg, o: [cfg.labels] if cfg.labels else []),
+        reads_if_present=(lambda cfg, o: [cfg.labels] if cfg.labels else [],),
         keys=("return_rule",),
     ),
     "train": Stage(
         "train the spreader classifier",
         _train,
         reads=(lambda cfg, o: [_features_path(cfg, "train")], STANDARDIZATION, *GRAPHS),
-        reads_if_present=("features/val.csv", _graph_events),
+        reads_if_present=("features/val.csv",),
         # The whole model config is saved into model.json.
         keys=("model",),
     ),
@@ -776,7 +776,6 @@ STAGES: dict[str, Stage] = {
         "predict mastermind probabilities",
         _infer,
         reads=("model.json", _split_features, STANDARDIZATION, *GRAPHS),
-        reads_if_present=(_graph_events,),
         keys=("split",),
         options=SPLIT_OPTION,
     ),

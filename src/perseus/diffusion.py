@@ -58,9 +58,6 @@ class DiffusionGraph:
     def graph_id(self) -> str:
         return f"{self.period}/{self.cryptocurrency}"
 
-    def index(self, entity_id: str) -> int:
-        return self.nodes.index(entity_id)
-
 
 def ranking_vector(event: CrowdPumpEvent) -> RankingVector:
     """Ranks in announcement order; the segmentation already broke time ties
@@ -247,13 +244,8 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
                 continue
             src, dst = line.rstrip("\n").split("\t")
             directed[index[src], index[dst]] = 1
-    participation_path = directory / f"{coin}.events.json"
-    participation: dict[str, frozenset[int]] = {}
-    if participation_path.exists():
-        loaded = json.loads(participation_path.read_text(encoding="utf-8"))
-        participation = {entity: frozenset(ids) for entity, ids in loaded.items()}
-    else:
-        participation = {entity: frozenset() for entity in nodes}
+    loaded = json.loads((directory / f"{coin}.events.json").read_text(encoding="utf-8"))
+    participation = {entity: frozenset(ids) for entity, ids in loaded.items()}
     return DiffusionGraph(
         cryptocurrency=coin,
         period=period,

@@ -18,6 +18,8 @@ from .ingest import CrowdPumpMessage
 
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 MIN_SPREADERS_PER_TOKEN = 4
+# Candidate cut indices per cut in the split search's coarse pass.
+SPLIT_COARSE_CELLS = 40
 SPLIT_NAMES = ("train", "val", "test")
 
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy", "mcc")
@@ -185,7 +187,6 @@ def _plan_error(plan: SplitPlan, targets: Sequence[float]) -> float:
 def chronological_split(
     messages: Sequence[CrowdPumpMessage],
     targets: Sequence[float] = (0.70, 0.15, 0.15),
-    coarse: int = 40,
 ) -> SplitPlan:
     """Search two cut timestamps whose token-count fractions track targets.
 
@@ -223,10 +224,11 @@ def chronological_split(
                     best = (err, i, j)
         return best
 
-    err, bi, bj = scan(candidates(1, n - 1, coarse), candidates(1, n - 1, coarse))
+    coarse = candidates(1, n - 1, SPLIT_COARSE_CELLS)
+    err, bi, bj = scan(coarse, coarse)
     if bi < 0:
         raise SplitInfeasible("no valid cut pair found")
-    stride = max(1, (n - 2) // coarse)
+    stride = max(1, (n - 2) // SPLIT_COARSE_CELLS)
     err2, ri, rj = scan(
         candidates(bi - stride, bi + stride, 2 * stride + 1),
         candidates(bj - stride, bj + stride, 2 * stride + 1),

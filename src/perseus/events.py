@@ -64,10 +64,6 @@ class CrowdPumpEvent:
         return self.messages[0].source_datetime
 
     @property
-    def span(self) -> timedelta:
-        return self.messages[-1].source_datetime - self.messages[0].source_datetime
-
-    @property
     def spreaders(self) -> tuple[str, ...]:
         return tuple(m.entity_id for m in self.messages)
 

@@ -19,7 +19,7 @@ import numpy as np
 from ..diffusion import DiffusionGraph
 from ..ingest import CrowdPumpMessage
 from ..market import MarketOutcome
-from .centrality import betweenness, clustering, closeness, pagerank
+from .centrality import betweenness, clustering, closeness, pagerank, path_centrality
 from .community import CommunityPartition, louvain, modularity, symmetrize
 from .ego import EGO_KEYS, ego_feature_matrix, ego_features
 
@@ -92,8 +92,7 @@ def whole_graph_features(graph: DiffusionGraph) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for suffix, adj, isw in (("u", directed, False), ("w", weighted, True)):
         out[f"clustering_{suffix}"] = clustering(adj, isw)
-        out[f"closeness_{suffix}"] = closeness(adj, isw)
-        out[f"betweenness_{suffix}"] = betweenness(adj, isw)
+        out[f"closeness_{suffix}"], out[f"betweenness_{suffix}"] = path_centrality(adj, isw)
         out[f"pagerank_{suffix}"] = pagerank(adj, isw)
         egos = ego_feature_matrix(adj, isw)
         for key in EGO_KEYS:
@@ -256,6 +255,7 @@ __all__ = [
     "modularity",
     "osn_features",
     "pagerank",
+    "path_centrality",
     "read_features_csv",
     "symmetrize",
     "whole_graph_features",

@@ -12,6 +12,10 @@ import heapq
 
 import numpy as np
 
+PAGERANK_DAMPING = 0.85
+PAGERANK_TOL = 1e-9
+PAGERANK_MAX_ITER = 200
+
 
 def _degrees_sym(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sym = np.maximum(adj, adj.T).astype(float)
@@ -41,122 +45,98 @@ def clustering(adj: np.ndarray, weighted: bool) -> np.ndarray:
     return out
 
 
-def _distances_from(adj: np.ndarray, source: int, weighted: bool) -> np.ndarray:
-    """Directed shortest-path distances from one node (inf where unreachable)."""
-    n = len(adj)
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    if not weighted:
-        frontier = [source]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(adj[u]):
-                    if np.isinf(dist[v]):
-                        dist[v] = d
-                        nxt.append(int(v))
-            frontier = nxt
-        return dist
-    heap = [(0.0, source)]
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v in np.flatnonzero(adj[u]):
-            nd = d + 1.0 / adj[u, v]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
-    return dist
+def _shortest_paths(
+    adj: np.ndarray, s: int, weighted: bool
+) -> tuple[list[int], np.ndarray, np.ndarray, list[list[int]]]:
+    """Brandes' single-source pass: (order, dist, sigma, pred).
 
-
-def closeness(adj: np.ndarray, weighted: bool) -> np.ndarray:
-    """Outgoing-distance closeness, normalized by the reachable share so that
-    nodes commanding a small component do not outrank globally central ones."""
-    n = len(adj)
-    out = np.zeros(n)
-    if n <= 1:
-        return out
-    for v in range(n):
-        dist = _distances_from(adj, v, weighted)
-        reach = np.isfinite(dist)
-        reach[v] = False
-        r = int(reach.sum())
-        if r == 0:
-            continue
-        total = float(dist[reach].sum())
-        out[v] = (r / total) * (r / (n - 1))
-    return out
-
-
-def betweenness(adj: np.ndarray, weighted: bool) -> np.ndarray:
-    """Directed shortest-path betweenness, endpoints excluded, unnormalized.
-
-    Brandes' accumulation: one traversal per source, dependencies pushed back
-    through the predecessor DAG.
+    `order` lists the nodes reached from `s` by nondecreasing distance, `dist`
+    holds the directed shortest-path distances (inf where unreachable),
+    `sigma` counts the shortest paths from `s`, and `pred` lists each node's
+    predecessors on them.
     """
     n = len(adj)
-    score = np.zeros(n)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    sigma = np.zeros(n)
+    sigma[s] = 1.0
+    dist = np.full(n, np.inf)
+    dist[s] = 0.0
+    order: list[int] = []
+    if not weighted:
+        queue = [s]
+        while queue:
+            u = queue.pop(0)
+            order.append(u)
+            for v in np.flatnonzero(adj[u]):
+                v = int(v)
+                if np.isinf(dist[v]):
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    pred[v].append(u)
+    else:
+        heap = [(0.0, s)]
+        done = np.zeros(n, dtype=bool)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            order.append(u)
+            for v in np.flatnonzero(adj[u]):
+                v = int(v)
+                nd = d + 1.0 / adj[u, v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    sigma[v] = sigma[u]
+                    pred[v] = [u]
+                    heapq.heappush(heap, (nd, v))
+                elif nd == dist[v] and not done[v]:
+                    sigma[v] += sigma[u]
+                    pred[v].append(u)
+    return order, dist, sigma, pred
+
+
+def path_centrality(adj: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(closeness, betweenness) from one shortest-path pass per source.
+
+    Closeness is outgoing-distance closeness, normalized by the reachable
+    share so that nodes commanding a small component do not outrank globally
+    central ones. Betweenness is directed shortest-path betweenness,
+    endpoints excluded, unnormalized: Brandes' accumulation pushes each
+    source's dependencies back through its predecessor DAG.
+    """
+    n = len(adj)
+    close = np.zeros(n)
+    between = np.zeros(n)
     for s in range(n):
-        pred: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, np.inf)
-        dist[s] = 0.0
-        order: list[int] = []
-        if not weighted:
-            queue = [s]
-            while queue:
-                u = queue.pop(0)
-                order.append(u)
-                for v in np.flatnonzero(adj[u]):
-                    v = int(v)
-                    if np.isinf(dist[v]):
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-                    if dist[v] == dist[u] + 1:
-                        sigma[v] += sigma[u]
-                        pred[v].append(u)
-        else:
-            heap = [(0.0, s)]
-            done = np.zeros(n, dtype=bool)
-            while heap:
-                d, u = heapq.heappop(heap)
-                if done[u]:
-                    continue
-                done[u] = True
-                order.append(u)
-                for v in np.flatnonzero(adj[u]):
-                    v = int(v)
-                    nd = d + 1.0 / adj[u, v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        sigma[v] = sigma[u]
-                        pred[v] = [u]
-                        heapq.heappush(heap, (nd, v))
-                    elif nd == dist[v] and not done[v]:
-                        sigma[v] += sigma[u]
-                        pred[v].append(u)
+        order, dist, sigma, pred = _shortest_paths(adj, s, weighted)
+        reach = np.isfinite(dist)
+        reach[s] = False
+        r = int(reach.sum())
+        if r:
+            close[s] = (r / float(dist[reach].sum())) * (r / (n - 1))
         delta = np.zeros(n)
         for v in reversed(order):
             for u in pred[v]:
                 delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
             if v != s:
-                score[v] += delta[v]
-    return score
+                between[v] += delta[v]
+    return close, between
 
 
-def pagerank(
-    adj: np.ndarray,
-    weighted: bool,
-    damping: float = 0.85,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> np.ndarray:
+def closeness(adj: np.ndarray, weighted: bool) -> np.ndarray:
+    """Outgoing-distance closeness; see `path_centrality`."""
+    return path_centrality(adj, weighted)[0]
+
+
+def betweenness(adj: np.ndarray, weighted: bool) -> np.ndarray:
+    """Directed shortest-path betweenness; see `path_centrality`."""
+    return path_centrality(adj, weighted)[1]
+
+
+def pagerank(adj: np.ndarray, weighted: bool) -> np.ndarray:
     """Power-iteration pagerank; dangling mass is spread uniformly."""
     n = len(adj)
     if n == 0:
@@ -170,10 +150,11 @@ def pagerank(
     trans = np.zeros_like(mat)
     nz = ~dangling
     trans[nz] = mat[nz] / out[nz, None]
+    teleport = (1.0 - PAGERANK_DAMPING) / n
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = (1.0 - damping) / n + damping * (x @ trans + x[dangling].sum() / n)
-        if np.abs(nxt - x).sum() < tol:
+    for _ in range(PAGERANK_MAX_ITER):
+        nxt = teleport + PAGERANK_DAMPING * (x @ trans + x[dangling].sum() / n)
+        if np.abs(nxt - x).sum() < PAGERANK_TOL:
             x = nxt
             break
         x = nxt

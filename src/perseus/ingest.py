@@ -123,13 +123,12 @@ class NerRules:
     exchange_pattern: re.Pattern
 
 
-def _rules_path() -> Path:
-    return Path(str(resources.files("perseus").joinpath("data/ner_rules.json")))
+RULES_FILE = "data/ner_rules.json"
 
 
 @lru_cache(maxsize=1)
-def load_rules(path: str | None = None) -> NerRules:
-    raw = json.loads(Path(path or _rules_path()).read_text(encoding="utf-8"))
+def load_rules() -> NerRules:
+    raw = json.loads(resources.files("perseus").joinpath(RULES_FILE).read_text(encoding="utf-8"))
     sections = raw["sections"]
     parts = [
         rf"(?P<s{i}>\b(?:{rule['keyword']})\b)" for i, rule in enumerate(sections)
@@ -260,13 +259,6 @@ def _extract(raw: RawMessage, pid: int, rules: NerRules) -> tuple[Optional[Crowd
         message_text=raw.text,
     )
     return message, None
-
-
-def parse_message(raw: RawMessage, pid: int = 0, rules: NerRules | None = None) -> Optional[CrowdPumpMessage]:
-    """Extract a crowd-pump record from one raw message, or None if the text
-    carries no recognizable signal (no ticker, no target price, no direction)."""
-    message, _ = _extract(raw, pid, rules or load_rules())
-    return message
 
 
 def iter_corpus_lines(lines: Iterable[str]) -> Iterator[tuple[int, Optional[RawMessage], Optional[str]]]:

@@ -131,57 +131,47 @@ def _window_indices(series: PriceSeries, start: datetime, window: timedelta) -> 
     return lo, hi
 
 
-def _window_extremes(
-    series: PriceSeries, message: CrowdPumpMessage, window: timedelta
-) -> tuple[float, float, float]:
-    """(announcement price, window max, window min); the announcement point
-    participates in both extremes."""
-    p0 = price_at(series, message.source_datetime, message.pid)
-    lo, hi = _window_indices(series, message.source_datetime, window)
-    prices = series.price[lo:hi]
-    if len(prices) == 0:
-        return p0, p0, p0
-    return p0, max(p0, float(prices.max())), min(p0, float(prices.min()))
-
-
-def max_return(
+def outcome(
     series: PriceSeries,
     message: CrowdPumpMessage,
     rule: str = RETURN_DIRECTION_AWARE,
     window: timedelta = OUTCOME_WINDOW,
-) -> float:
-    """Direction-aware extreme return over the outcome window.
+) -> MarketOutcome:
+    """One message's outcome over the window after its announcement.
 
-    Long measures the rise to the window maximum, short the fall to the window
-    minimum. `rule="paper_literal"` applies the long formula regardless of
-    direction.
+    The announcement point takes part in both window extremes. Long measures
+    the rise to the window maximum, short the fall to the window minimum;
+    `rule="paper_literal"` applies the long formula regardless of direction.
+    A target counts as achieved when the window reached it in the signal's
+    direction. Raises MissingData when there is no announcement price.
     """
-    p0, hi, lo = _window_extremes(series, message, window)
-    if rule == RETURN_PAPER_LITERAL or message.trade_direction is TradeDirection.LONG:
-        return (hi - p0) / p0
-    if rule != RETURN_DIRECTION_AWARE:
+    if rule not in (RETURN_DIRECTION_AWARE, RETURN_PAPER_LITERAL):
         raise ValueError(f"unknown return rule {rule!r}")
-    return (p0 - lo) / p0
-
-
-def targets_achieved(
-    series: PriceSeries, message: CrowdPumpMessage, window: timedelta = OUTCOME_WINDOW
-) -> tuple[int, int]:
-    """(achieved, total): how many announced targets the window reached."""
-    _, hi, lo = _window_extremes(series, message, window)
-    targets = [float(t) for t in message.target_prices]
-    if message.trade_direction is TradeDirection.LONG:
-        achieved = sum(1 for t in targets if t <= hi)
+    p0 = price_at(series, message.source_datetime, message.pid)
+    lo, hi = _window_indices(series, message.source_datetime, window)
+    prices = series.price[lo:hi]
+    high = max(p0, float(prices.max())) if len(prices) else p0
+    low = min(p0, float(prices.min())) if len(prices) else p0
+    is_long = message.trade_direction is TradeDirection.LONG
+    if is_long or rule == RETURN_PAPER_LITERAL:
+        extreme, ret = high, (high - p0) / p0
     else:
-        achieved = sum(1 for t in targets if t >= lo)
-    return achieved, len(targets)
+        extreme, ret = low, (p0 - low) / p0
+    targets = [float(t) for t in message.target_prices]
+    return MarketOutcome(
+        pid=message.pid,
+        announcement_price=p0,
+        extreme_price=extreme,
+        max_return=ret,
+        targets_achieved=sum(1 for t in targets if (t <= high if is_long else t >= low)),
+        targets_total=len(targets),
+    )
 
 
 def compute_outcomes(
     messages: Iterable[CrowdPumpMessage],
     series_by_coin: Mapping[str, PriceSeries],
     rule: str = RETURN_DIRECTION_AWARE,
-    window: timedelta = OUTCOME_WINDOW,
 ) -> tuple[dict[int, MarketOutcome], list[int]]:
     """Outcomes keyed by pid, plus the pids whose coin had no usable data."""
     outcomes: dict[int, MarketOutcome] = {}
@@ -192,21 +182,9 @@ def compute_outcomes(
             missing.append(message.pid)
             continue
         try:
-            p0, hi, lo = _window_extremes(series, message, window)
-            ret = max_return(series, message, rule=rule, window=window)
-            achieved, total = targets_achieved(series, message, window=window)
+            outcomes[message.pid] = outcome(series, message, rule)
         except MissingData:
             missing.append(message.pid)
-            continue
-        extreme = hi if (rule == RETURN_PAPER_LITERAL or message.trade_direction is TradeDirection.LONG) else lo
-        outcomes[message.pid] = MarketOutcome(
-            pid=message.pid,
-            announcement_price=p0,
-            extreme_price=extreme,
-            max_return=ret,
-            targets_achieved=achieved,
-            targets_total=total,
-        )
     return outcomes, missing
 
 

@@ -175,11 +175,11 @@ def test_rerun_is_a_no_op(pipeline):
 
 @pytest.fixture
 def settled(pipeline, tmp_path):
-    """A copy of the pipeline out dir, re-run once so that every manifest
-    names the copy's own paths."""
+    """A copy of the pipeline out dir; manifests name files relative to
+    the out dir, so the copy skips every stage."""
     out = tmp_path / "settled"
     shutil.copytree(pipeline, out)
-    assert stages_run(out) == list(STAGES)
+    assert stages_run(out) == []
     return out
 
 

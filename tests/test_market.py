@@ -14,9 +14,8 @@ from perseus.market import (
     RETURN_PAPER_LITERAL,
     compute_outcomes,
     load_price_csv,
-    max_return,
+    outcome,
     price_at,
-    targets_achieved,
     write_outcomes,
     write_price_csv,
 )
@@ -48,6 +47,12 @@ def signal(direction=TradeDirection.LONG, targets=("1.1",), coin="SUI", minute=0
     )
 
 
+def targets(s, message, **kwargs):
+    """(achieved, total) targets of one message's outcome."""
+    out = outcome(s, message, **kwargs)
+    return out.targets_achieved, out.targets_total
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         series([(0, 100.0), (0, 101.0)])  # duplicate timestamp
@@ -75,30 +80,34 @@ def test_price_at_forward_fills_up_to_ten_minutes():
 
 def test_long_max_return_worked_example():
     s = series([(0, 100.0), (60, 110.0), (120, 95.0)])
-    assert max_return(s, signal()) == pytest.approx(0.10, abs=1e-12)
+    assert outcome(s, signal()).max_return == pytest.approx(0.10, abs=1e-12)
 
 
 def test_short_max_return_mirrors():
     s = series([(0, 100.0), (60, 90.0), (120, 105.0)])
-    assert max_return(s, signal(direction=TradeDirection.SHORT)) == pytest.approx(0.10, abs=1e-12)
+    short = signal(direction=TradeDirection.SHORT)
+    assert outcome(s, short).max_return == pytest.approx(0.10, abs=1e-12)
 
 
 def test_paper_literal_rule_uses_the_high_for_shorts():
     s = series([(0, 100.0), (60, 90.0), (120, 105.0)])
     short = signal(direction=TradeDirection.SHORT)
-    assert max_return(s, short, rule=RETURN_PAPER_LITERAL) == pytest.approx(0.05, abs=1e-12)
+    assert outcome(s, short, rule=RETURN_PAPER_LITERAL).max_return == pytest.approx(0.05, abs=1e-12)
+    for direction in TradeDirection:
+        with pytest.raises(ValueError):
+            outcome(s, signal(direction=direction), rule="optimistic")
 
 
 def test_announcement_point_caps_losses_at_zero():
     declining = series([(0, 100.0), (60, 95.0), (120, 90.0)])
-    assert max_return(declining, signal()) == 0.0
+    assert outcome(declining, signal()).max_return == 0.0
 
 
 def test_window_is_open_at_announcement_closed_at_72h():
     inside = series([(0, 100.0), (72 * 60, 120.0)])
-    assert max_return(inside, signal()) == pytest.approx(0.20, abs=1e-12)
+    assert outcome(inside, signal()).max_return == pytest.approx(0.20, abs=1e-12)
     outside = series([(0, 100.0), (30, 101.0), (72 * 60 + 1, 120.0)])
-    assert max_return(outside, signal()) == pytest.approx(0.01, abs=1e-12)
+    assert outcome(outside, signal()).max_return == pytest.approx(0.01, abs=1e-12)
 
 
 def test_direction_symmetry_on_inverted_series_at_tick_scale():
@@ -107,16 +116,16 @@ def test_direction_symmetry_on_inverted_series_at_tick_scale():
     move = 1e-5
     s = series([(0, 1.0), (60, 1.0 + move)])
     inverted = PriceSeries(pair="X", ts=s.ts.copy(), price=1.0 / s.price, volume=s.volume.copy())
-    long_leg = max_return(s, signal())
-    short_leg = max_return(inverted, signal(direction=TradeDirection.SHORT))
+    long_leg = outcome(s, signal()).max_return
+    short_leg = outcome(inverted, signal(direction=TradeDirection.SHORT)).max_return
     assert long_leg == pytest.approx(move, rel=1e-6)
     assert abs(long_leg - short_leg) < 1e-9
 
 
 def test_targets_achieved_worked_examples():
     s = series([(0, 100.0), (60, 110.0)])
-    assert targets_achieved(s, signal(targets=("105", "111"))) == (1, 2)
-    assert targets_achieved(s, signal(targets=("115", "120", "130"))) == (0, 3)
+    assert targets(s, signal(targets=("105", "111"))) == (1, 2)
+    assert targets(s, signal(targets=("115", "120", "130"))) == (0, 3)
 
 
 def test_targets_achieved_of_the_short_contract_listing():
@@ -138,13 +147,13 @@ def test_targets_achieved_of_the_short_contract_listing():
     (msg,), _ = parse_corpus(lines)
     # the low dips just under target 3 and stays above target 4
     s = series([(0, 0.03518), (120, 0.034476 - 1e-7), (240, 0.0350)], pair="VETUSDT")
-    assert targets_achieved(s, msg) == (3, 8)
+    assert targets(s, msg) == (3, 8)
 
 
 def test_targets_achieved_is_monotone_in_the_window():
     s = series([(0, 100.0), (30, 104.0), (48 * 60, 112.0)])
-    early = targets_achieved(s, signal(targets=("103", "111")), window=timedelta(hours=1))
-    late = targets_achieved(s, signal(targets=("103", "111")))
+    early = targets(s, signal(targets=("103", "111")), window=timedelta(hours=1))
+    late = targets(s, signal(targets=("103", "111")))
     assert early == (1, 2)
     assert late == (2, 2)
     assert late[0] >= early[0]
