@@ -1,5 +1,6 @@
 """Classification scoring, chronological token splitting and Welch tests."""
 
+import json
 import math
 import sys
 from datetime import datetime, timedelta, timezone
@@ -13,6 +14,7 @@ import scipy.stats
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
 
+from perseus import synth
 from perseus.evaluation import (
     DEFAULT_GRID,
     METRIC_NAMES,
@@ -235,6 +237,45 @@ def test_split_rejects_bad_targets():
         chronological_split(sequential_corpus(), targets=(0.5, 0.5))
     with pytest.raises(ValueError):
         chronological_split(sequential_corpus(), targets=(0.6, 0.2, 0.1))
+
+
+SPLIT_PLANS = Path(__file__).resolve().parent / "golden" / "split_plans.json"
+# The synth shapes of the benchmark workloads (perfbench/run.py).
+SPLIT_SHAPES = {
+    "msg_dense": dict(n_spreaders=60, n_masterminds=3, n_events=90, n_coins=6),
+    "price_long": dict(n_spreaders=12, n_masterminds=3, n_events=150, n_coins=6, forward_prob=0.1),
+    "graph_wide": dict(n_spreaders=90, n_masterminds=3, n_events=24, n_coins=3),
+}
+
+
+def split_plan_records():
+    """{"<shape>/<synth seed>": plan} for synth seeds 0-2 of every shape.
+
+    Regenerate tests/golden/split_plans.json only for an intended change of
+    the split, and say why in CHANGES.md. From the repo root:
+
+        PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests');
+        import test_evaluation as t; print(json.dumps(t.split_plan_records(), indent=1))" \
+        > tests/golden/split_plans.json
+    """
+    records = {}
+    for shape, sizes in SPLIT_SHAPES.items():
+        for seed in range(3):
+            corpus = synth.generate_corpus(synth.SynthConfig(seed=seed, **sizes), with_prices=False)
+            plan = chronological_split(corpus.messages)
+            records[f"{shape}/{seed}"] = {
+                "cut1": plan.cut1.isoformat(),
+                "cut2": plan.cut2.isoformat(),
+                "fractions": list(plan.fractions),
+                "tokens": [list(t) for t in plan.tokens],
+                "dropped": [list(t) for t in plan.dropped],
+                "message_counts": list(plan.message_counts),
+            }
+    return records
+
+
+def test_split_plans_match_golden():
+    assert split_plan_records() == json.loads(SPLIT_PLANS.read_text())
 
 
 # ---------------------------------------------------------------------------
