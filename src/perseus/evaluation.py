@@ -178,10 +178,35 @@ def _plan_for(messages: Sequence[CrowdPumpMessage], i: int, j: int) -> SplitPlan
     )
 
 
-def _plan_error(plan: SplitPlan, targets: Sequence[float]) -> float:
-    if not any(plan.tokens):
-        return math.inf
-    return sum(abs(f - t) for f, t in zip(plan.fractions, targets))
+def _earliest_ends(
+    coins: Sequence[int], pairs: Sequence[int], n_coins: int, starts: Iterable[int]
+) -> dict[int, np.ndarray]:
+    """Per start a: ends[c], the smallest e at which messages[a:e] holds
+    MIN_SPREADERS_PER_TOKEN distinct spreaders of coin c, or n + 1 if none.
+
+    `coins[k]` and `pairs[k]` index message k's coin and (coin, spreader)
+    pair. One backward pass keeps, per coin, the smallest first indices at or
+    after a over that coin's pairs; the largest of them is the last message
+    the coin needs.
+    """
+    n = len(coins)
+    wanted = set(starts)
+    first = [-1] * (max(pairs) + 1)
+    low: list[list[int]] = [[] for _ in range(n_coins)]
+    ends = np.full(n_coins, n + 1)
+    out = {}
+    for a in range(n - 1, -1, -1):
+        c, p = coins[a], pairs[a]
+        if first[p] in low[c]:
+            low[c].remove(first[p])
+        first[p] = a
+        low[c].insert(0, a)
+        del low[c][MIN_SPREADERS_PER_TOKEN:]
+        if len(low[c]) == MIN_SPREADERS_PER_TOKEN:
+            ends[c] = low[c][-1] + 1
+        if a in wanted:
+            out[a] = ends.copy()
+    return out
 
 
 def chronological_split(
@@ -194,7 +219,9 @@ def chronological_split(
     distinct spreaders announce it inside that split; weaker appearances are
     dropped from the split and listed in the plan. The search scans a coarse
     grid of candidate cut indices, then refines exhaustively around the best
-    coarse cell, minimizing the L1 distance to the target fractions.
+    coarse cell, minimizing the L1 distance to the target fractions. Each
+    candidate pair is scored from the per-coin earliest ends of its chunks'
+    starts, without re-reading the messages.
     """
     if len(targets) != 3 or abs(sum(targets) - 1.0) > 1e-9:
         raise ValueError("targets must be three fractions summing to 1")
@@ -205,6 +232,11 @@ def chronological_split(
         raise SplitInfeasible(
             f"need at least 3 messages and 3 tokens, have {n} and {len(distinct)}"
         )
+    coin_ids: dict[str, int] = {}
+    pair_ids: dict[tuple[str, str], int] = {}
+    coins = [coin_ids.setdefault(m.cryptocurrency, len(coin_ids)) for m in msgs]
+    pairs = [pair_ids.setdefault((m.cryptocurrency, m.entity_id), len(pair_ids)) for m in msgs]
+    t0, t1, t2 = targets
 
     def candidates(lo: int, hi: int, budget: int) -> list[int]:
         span = range(max(1, lo), min(n - 1, hi) + 1)
@@ -214,14 +246,24 @@ def chronological_split(
         return sorted({span[int(k * step)] for k in range(budget)})
 
     def scan(ci: list[int], cj: list[int]) -> tuple[float, int, int]:
+        """Best (error, i, j): the first minimum in row-major (ci, cj) order."""
+        ends = _earliest_ends(coins, pairs, len(coin_ids), {0, *ci, *cj})
+        ends0 = np.sort(ends[0])
+        j_arr = np.array(cj)
+        # Kept tokens of the chunks [0, i), [i, j) and [j, n) along one row.
+        k2 = np.array([np.count_nonzero(ends[j] <= n) for j in cj])
         best = (math.inf, -1, -1)
         for i in ci:
-            for j in cj:
-                if j <= i:
-                    continue
-                err = _plan_error(_plan_for(msgs, i, j), targets)
-                if err < best[0]:
-                    best = (err, i, j)
+            k0 = np.searchsorted(ends0, i, side="right")
+            k1 = np.searchsorted(np.sort(ends[i]), j_arr, side="right")
+            total = k0 + k1 + k2
+            share = np.maximum(total, 1)
+            # |f0 - t0| + |f1 - t1| + |f2 - t2|, added left to right as a scalar sum would.
+            err = (np.abs(k0 / share - t0) + np.abs(k1 / share - t1)) + np.abs(k2 / share - t2)
+            err[(total == 0) | (j_arr <= i)] = math.inf
+            c = int(np.argmin(err))
+            if err[c] < best[0]:
+                best = (float(err[c]), i, cj[c])
         return best
 
     coarse = candidates(1, n - 1, SPLIT_COARSE_CELLS)
@@ -235,10 +277,7 @@ def chronological_split(
     )
     if err2 < err:
         bi, bj = ri, rj
-    plan = _plan_for(msgs, bi, bj)
-    if not any(plan.tokens):
-        raise SplitInfeasible("no token reaches four spreaders in any split")
-    return plan
+    return _plan_for(msgs, bi, bj)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ against.
 Everything here deliberately takes a different route from the package:
 dicts and fractions instead of numpy arrays, Floyd-Warshall pair counting
 instead of Brandes accumulation, a dense linear solve instead of power
-iteration, pure-python scalar loops instead of vectorized layers. Agreement
+iteration, pure-python scalar loops instead of vectorized layers, a re-count
+of every candidate cut pair instead of per-coin earliest ends. Agreement
 between the two routes is then evidence, not tautology.
 """
 
@@ -15,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,64 @@ def formula_metrics(tp, fp, fn, tn):
         "accuracy": accuracy,
         "mcc": mcc,
     }
+
+
+# ---------------------------------------------------------------------------
+# chronological split
+
+
+def _plan_error(plan, targets):
+    if not any(plan.tokens):
+        return math.inf
+    return sum(abs(f - t) for f, t in zip(plan.fractions, targets))
+
+
+def reference_chronological_split(messages, targets=(0.70, 0.15, 0.15)):
+    """The per-pair split search: every candidate cut pair re-counts the
+    spreaders of all three chunks through `_plan_for`."""
+    if len(targets) != 3 or abs(sum(targets) - 1.0) > 1e-9:
+        raise ValueError("targets must be three fractions summing to 1")
+    msgs = sorted(messages, key=lambda m: (m.source_datetime, m.pid))
+    n = len(msgs)
+    distinct = {m.cryptocurrency for m in msgs}
+    if n < 3 or len(distinct) < 3:
+        raise SplitInfeasible(
+            f"need at least 3 messages and 3 tokens, have {n} and {len(distinct)}"
+        )
+
+    def candidates(lo, hi, budget):
+        span = range(max(1, lo), min(n - 1, hi) + 1)
+        if len(span) <= budget:
+            return list(span)
+        step = len(span) / budget
+        return sorted({span[int(k * step)] for k in range(budget)})
+
+    def scan(ci, cj):
+        best = (math.inf, -1, -1)
+        for i in ci:
+            for j in cj:
+                if j <= i:
+                    continue
+                err = _plan_error(_plan_for(msgs, i, j), targets)
+                if err < best[0]:
+                    best = (err, i, j)
+        return best
+
+    coarse = candidates(1, n - 1, SPLIT_COARSE_CELLS)
+    err, bi, bj = scan(coarse, coarse)
+    if bi < 0:
+        raise SplitInfeasible("no valid cut pair found")
+    stride = max(1, (n - 2) // SPLIT_COARSE_CELLS)
+    err2, ri, rj = scan(
+        candidates(bi - stride, bi + stride, 2 * stride + 1),
+        candidates(bj - stride, bj + stride, 2 * stride + 1),
+    )
+    if err2 < err:
+        bi, bj = ri, rj
+    plan = _plan_for(msgs, bi, bj)
+    if not any(plan.tokens):
+        raise SplitInfeasible("no token reaches four spreaders in any split")
+    return plan
 
 
 # ---------------------------------------------------------------------------

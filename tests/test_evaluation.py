@@ -20,6 +20,7 @@ from perseus.evaluation import (
     METRIC_NAMES,
     DegenerateVariance,
     SplitInfeasible,
+    SplitPlan,
     best_threshold,
     chronological_split,
     confusion_from,
@@ -238,6 +239,41 @@ def test_split_rejects_bad_targets():
     with pytest.raises(ValueError):
         chronological_split(sequential_corpus(), targets=(0.6, 0.2, 0.1))
 
+
+def random_split_corpus(rng):
+    """3-150 messages over 2-8 coins and 1-10 spreaders; timestamps drawn
+    from about n/3 hours, so many messages share one, in shuffled pid order."""
+    n = int(rng.integers(3, 151))
+    n_coins = int(rng.integers(2, 9))
+    n_spreaders = int(rng.integers(1, 11))
+    hours = rng.integers(0, n // 3 + 1, size=n)
+    pids = rng.permutation(n) + 1
+    return [
+        msg(int(pid), f"C{rng.integers(n_coins)}", f"s{rng.integers(n_spreaders)}", int(h))
+        for pid, h in zip(pids, hours)
+    ]
+
+
+def split_outcome(split, corpus, targets):
+    try:
+        return split(corpus, targets)
+    except SplitInfeasible as exc:
+        return f"SplitInfeasible: {exc}"
+
+
+def test_split_matches_the_per_pair_oracle():
+    rng = np.random.default_rng(5)
+    target_sets = [(0.70, 0.15, 0.15), (0.5, 0.3, 0.2), (1 / 3, 1 / 3, 1 / 3)]
+    outcomes = []
+    for trial in range(150):
+        corpus = random_split_corpus(rng)
+        targets = target_sets[trial % 3]
+        got = split_outcome(chronological_split, corpus, targets)
+        want = split_outcome(oracles.reference_chronological_split, corpus, targets)
+        assert got == want, (trial, got, want)
+        outcomes.append(type(got))
+    # both the feasible and the infeasible branch are exercised
+    assert str in outcomes and SplitPlan in outcomes
 
 SPLIT_PLANS = Path(__file__).resolve().parent / "golden" / "split_plans.json"
 # The synth shapes of the benchmark workloads (perfbench/run.py).
