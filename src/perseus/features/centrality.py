@@ -9,6 +9,8 @@ are shorter.
 from __future__ import annotations
 
 import heapq
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -46,47 +48,48 @@ def clustering(adj: np.ndarray, weighted: bool) -> np.ndarray:
 
 
 def _shortest_paths(
-    adj: np.ndarray, s: int, weighted: bool
-) -> tuple[list[int], np.ndarray, np.ndarray, list[list[int]]]:
+    nbrs: list[list[int]], lengths: Optional[list[list[float]]], s: int
+) -> tuple[list[int], list[float], list[float], list[list[int]]]:
     """Brandes' single-source pass: (order, dist, sigma, pred).
 
+    `nbrs[u]` lists u's out-neighbours in increasing order and `lengths[u]`
+    the lengths of those edges; without lengths every edge is one hop.
     `order` lists the nodes reached from `s` by nondecreasing distance, `dist`
     holds the directed shortest-path distances (inf where unreachable),
     `sigma` counts the shortest paths from `s`, and `pred` lists each node's
     predecessors on them.
     """
-    n = len(adj)
+    n = len(nbrs)
     pred: list[list[int]] = [[] for _ in range(n)]
-    sigma = np.zeros(n)
+    sigma = [0.0] * n
     sigma[s] = 1.0
-    dist = np.full(n, np.inf)
+    dist = [math.inf] * n
     dist[s] = 0.0
     order: list[int] = []
-    if not weighted:
-        queue = [s]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if np.isinf(dist[v]):
+    if lengths is None:
+        order.append(s)
+        head = 0
+        while head < len(order):  # `order` doubles as the BFS queue
+            u = order[head]
+            head += 1
+            for v in nbrs[u]:
+                if dist[v] == math.inf:
                     dist[v] = dist[u] + 1
-                    queue.append(v)
+                    order.append(v)
                 if dist[v] == dist[u] + 1:
                     sigma[v] += sigma[u]
                     pred[v].append(u)
     else:
         heap = [(0.0, s)]
-        done = np.zeros(n, dtype=bool)
+        done = [False] * n
         while heap:
             d, u = heapq.heappop(heap)
             if done[u]:
                 continue
             done[u] = True
             order.append(u)
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                nd = d + 1.0 / adj[u, v]
+            for v, length in zip(nbrs[u], lengths[u]):
+                nd = d + length
                 if nd < dist[v]:
                     dist[v] = nd
                     sigma[v] = sigma[u]
@@ -108,16 +111,19 @@ def path_centrality(adj: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.nda
     source's dependencies back through its predecessor DAG.
     """
     n = len(adj)
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    lengths = [(1.0 / adj[u, vs]).tolist() for u, vs in enumerate(nbrs)] if weighted else None
     close = np.zeros(n)
     between = np.zeros(n)
     for s in range(n):
-        order, dist, sigma, pred = _shortest_paths(adj, s, weighted)
-        reach = np.isfinite(dist)
+        order, dist, sigma, pred = _shortest_paths(nbrs, lengths, s)
+        dist_arr = np.array(dist)
+        reach = np.isfinite(dist_arr)
         reach[s] = False
         r = int(reach.sum())
         if r:
-            close[s] = (r / float(dist[reach].sum())) * (r / (n - 1))
-        delta = np.zeros(n)
+            close[s] = (r / float(dist_arr[reach].sum())) * (r / (n - 1))
+        delta = [0.0] * n
         for v in reversed(order):
             for u in pred[v]:
                 delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
