@@ -16,6 +16,7 @@ import json
 import logging
 import operator
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -255,7 +256,9 @@ def run_stage(
     of every file in `inputs`, which must exist, and of every file in
     `optional`, which enters as "absent" when missing. Files under the out
     dir, which every output is, are named relative to it, so a copied or
-    moved out dir keeps its cache.
+    moved out dir keeps its cache. A run's manifest also records the runner's
+    wall `seconds`, the process's `peak_rss_kb` so far and the `reason` it
+    ran.
     """
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
@@ -271,30 +274,48 @@ def run_stage(
     input_hashes = {key(p): _sha256(p) for p in sorted(inputs)}
     for p in optional:
         input_hashes[key(p)] = _sha256(p) if p.exists() else "absent"
-    if manifest_path.exists():
-        try:
-            stored = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            stored = {}
-        if (
-            stored.get("config_hash") == config_hash
-            and stored.get("inputs") == input_hashes
-            and all(
-                (cfg.out_dir / p).exists() and _sha256(cfg.out_dir / p) == h
-                for p, h in stored.get("outputs", {}).items()
-            )
-        ):
-            logger.info("%s: inputs unchanged, skipping", name)
-            return
+    reason = _rerun_reason(manifest_path, cfg.out_dir, config_hash, input_hashes)
+    if reason is None:
+        logger.info("%s: inputs unchanged, skipping", name)
+        return
+    started = time.perf_counter()
     outputs = runner()
     manifest = {
         "stage": name,
         "config_hash": config_hash,
         "inputs": input_hashes,
         "outputs": {key(p): _sha256(Path(p)) for p in sorted(set(outputs))},
+        "seconds": time.perf_counter() - started,
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "reason": reason,
     }
     _write_json(manifest_path, manifest)
     logger.info("%s: wrote %d artifact(s)", name, len(outputs))
+
+
+def _rerun_reason(
+    manifest_path: Path, out_dir: Path, config_hash: str, input_hashes: dict[str, str]
+) -> Optional[str]:
+    """Why a stage must run: no manifest, changed settings, or the keys of
+    the changed inputs or outputs. None when the stored manifest holds."""
+    try:
+        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        return "no manifest"
+    if stored.get("config_hash") != config_hash:
+        return "settings changed"
+    old = stored.get("inputs", {})
+    changed = sorted(k for k in old.keys() | input_hashes.keys() if old.get(k) != input_hashes.get(k))
+    if changed:
+        return f"inputs changed: {', '.join(changed)}"
+    changed = sorted(
+        p
+        for p, h in stored.get("outputs", {}).items()
+        if not (out_dir / p).exists() or _sha256(out_dir / p) != h
+    )
+    if changed:
+        return f"outputs changed: {', '.join(changed)}"
+    return None
 
 
 def _write_json(path: Path, obj) -> Path:

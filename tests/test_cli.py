@@ -197,6 +197,9 @@ def test_label_edit_reruns_featurize_onwards(settled):
     assert stages_run(settled) == ["featurize", "train", "infer", "evaluate"]
     report = json.loads((settled / "report.json").read_text())
     assert report["n_masterminds"] == before["n_nodes"] - before["n_masterminds"]
+    run = json.loads((settled / "manifests" / "featurize.json").read_text())
+    assert run["reason"] == "inputs changed: data/labels.json"
+    assert run["seconds"] >= 0 and run["peak_rss_kb"] > 0
 
 
 def test_price_edit_reruns_featurize_onwards(settled):
