@@ -179,7 +179,7 @@ def _plan_for(messages: Sequence[CrowdPumpMessage], i: int, j: int) -> SplitPlan
 
 
 def _earliest_ends(
-    coins: Sequence[int], pairs: Sequence[int], n_coins: int, starts: Iterable[int]
+    coins: Sequence[int], pairs: Sequence[int], starts: Iterable[int]
 ) -> dict[int, np.ndarray]:
     """Per start a: ends[c], the smallest e at which messages[a:e] holds
     MIN_SPREADERS_PER_TOKEN distinct spreaders of coin c, or n + 1 if none.
@@ -192,8 +192,8 @@ def _earliest_ends(
     n = len(coins)
     wanted = set(starts)
     first = [-1] * (max(pairs) + 1)
-    low: list[list[int]] = [[] for _ in range(n_coins)]
-    ends = np.full(n_coins, n + 1)
+    low: list[list[int]] = [[] for _ in range(max(coins) + 1)]
+    ends = np.full(len(low), n + 1)
     out = {}
     for a in range(n - 1, -1, -1):
         c, p = coins[a], pairs[a]
@@ -247,7 +247,7 @@ def chronological_split(
 
     def scan(ci: list[int], cj: list[int]) -> tuple[float, int, int]:
         """Best (error, i, j): the first minimum in row-major (ci, cj) order."""
-        ends = _earliest_ends(coins, pairs, len(coin_ids), {0, *ci, *cj})
+        ends = _earliest_ends(coins, pairs, {0, *ci, *cj})
         ends0 = np.sort(ends[0])
         j_arr = np.array(cj)
         # Kept tokens of the chunks [0, i), [i, j) and [j, n) along one row.
