@@ -275,6 +275,7 @@ def test_split_matches_the_per_pair_oracle():
     # both the feasible and the infeasible branch are exercised
     assert str in outcomes and SplitPlan in outcomes
 
+
 SPLIT_PLANS = Path(__file__).resolve().parent / "golden" / "split_plans.json"
 # The synth shapes of the benchmark workloads (perfbench/run.py).
 SPLIT_SHAPES = {
