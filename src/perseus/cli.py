@@ -358,9 +358,7 @@ def _split_features(cfg: PipelineConfig, opts: dict) -> list[Path]:
 
 
 def _price_files(cfg: PipelineConfig, opts: dict) -> list[Path]:
-    if cfg.prices_dir is None or not Path(cfg.prices_dir).is_dir():
-        return []
-    return sorted(Path(cfg.prices_dir).glob("*.csv"))
+    return [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir)
 
 
 def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
@@ -500,8 +498,12 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     written: list[Path] = []
 
     series_by_coin: dict[str, market.PriceSeries] = {}
-    if cfg.prices_dir is not None and Path(cfg.prices_dir).is_dir():
-        for pair, series in market.load_price_dir(cfg.prices_dir).items():
+    if cfg.prices_dir is not None:
+        try:
+            prices = market.load_price_dir(cfg.prices_dir)
+        except market.PriceFileError as exc:
+            raise DataError(f"featurize: {exc}") from exc
+        for pair, series in prices.items():
             series_by_coin[ingest.normalize_symbol(pair)] = series
     outcomes, missing = market.compute_outcomes(
         messages, series_by_coin, rule=cfg.return_rule

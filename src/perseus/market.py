@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, TextIO
 
 import numpy as np
 
@@ -24,6 +25,11 @@ FORWARD_FILL_LIMIT = timedelta(minutes=10)
 RETURN_DIRECTION_AWARE = "direction_aware"
 RETURN_PAPER_LITERAL = "paper_literal"
 
+PRICE_HEADER = "timestamp,price,volume"
+# numpy 1.23 replaced loadtxt's Python parser with a C one that converts each
+# field like float() or rejects it; the Python parser also read "0x.." as hex.
+_C_LOADTXT = np.lib.NumpyVersion(np.__version__) >= "1.23.0"
+
 
 class MissingData(Exception):
     """The price series does not cover the requested window."""
@@ -34,6 +40,10 @@ class MissingData(Exception):
         self.pid = pid
         at = f" for pid {pid}" if pid is not None else ""
         super().__init__(f"{pair}: no price data {window}{at}")
+
+
+class PriceFileError(ValueError):
+    """A price CSV that cannot be read as a series; the message names it."""
 
 
 @dataclass
@@ -79,11 +89,23 @@ def _posix(when: datetime) -> float:
 
 
 def load_price_csv(path: Path | str, pair: str | None = None) -> PriceSeries:
-    """Read a `timestamp,price,volume` CSV; timestamps are epoch milliseconds
-    or ISO-8601."""
+    """Read a price CSV with columns `timestamp`, `price` and `volume` in any
+    order; timestamps are epoch milliseconds or ISO-8601.
+
+    A file whose header is exactly `timestamp,price,volume` is parsed by one
+    `np.loadtxt` call. Anything that parser rejects or cannot read as three
+    columns (ISO stamps, reordered columns, malformed rows) goes through the
+    `csv.DictReader` loop, which raises the same errors it always has.
+    """
     path = Path(path)
-    ts, price, volume = [], [], []
+    pair = pair or path.stem
     with open(path, newline="", encoding="utf-8") as fh:
+        if _C_LOADTXT and fh.readline().rstrip("\r\n") == PRICE_HEADER:
+            columns = _read_columns(fh)
+            if columns is not None:
+                return PriceSeries(pair, columns[:, 0] / 1000.0, columns[:, 1], columns[:, 2])
+        fh.seek(0)
+        ts, price, volume = [], [], []
         for row in csv.DictReader(fh):
             stamp = row["timestamp"].strip()
             try:
@@ -92,22 +114,54 @@ def load_price_csv(path: Path | str, pair: str | None = None) -> PriceSeries:
                 ts.append(_posix(parse_timestamp(stamp)))
             price.append(float(row["price"]))
             volume.append(float(row["volume"]))
-    return PriceSeries(pair or path.stem, np.array(ts), np.array(price), np.array(volume))
+    return PriceSeries(pair, np.array(ts), np.array(price), np.array(volume))
+
+
+def _read_columns(fh: TextIO) -> Optional[np.ndarray]:
+    """The rest of `fh` as an (n, 3) float array with n >= 1, or None when
+    numpy cannot parse it as that."""
+    with warnings.catch_warnings():
+        # A header-only file: the csv loop reports it as an empty series.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            # comments=None: the default "#" would accept rows float() rejects.
+            a = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
+        except ValueError:
+            return None
+    return a if a.shape[1] == 3 and len(a) else None
+
+
+def price_files(directory: Path | str) -> list[Path]:
+    """The price CSVs of `directory`, in the order they are loaded."""
+    directory = Path(directory)
+    return sorted(directory.glob("*.csv")) if directory.is_dir() else []
 
 
 def load_price_dir(directory: Path | str) -> dict[str, PriceSeries]:
+    """Every file of `price_files(directory)`, keyed by file stem. Raises
+    PriceFileError naming the first file that cannot be read as a series."""
     out = {}
-    for path in sorted(Path(directory).glob("*.csv")):
-        out[path.stem] = load_price_csv(path)
+    for path in price_files(directory):
+        try:
+            out[path.stem] = load_price_csv(path)
+        except KeyError as exc:
+            raise PriceFileError(f"{path}: no column {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            # csv.DictReader fills the missing fields of a short row with None.
+            raise PriceFileError(f"{path}: a row has too few fields") from exc
+        except ValueError as exc:
+            raise PriceFileError(f"{path}: {exc}") from exc
     return out
 
 
 def write_price_csv(path: Path | str, series: PriceSeries) -> None:
+    """Write `series` with the exact `timestamp,price,volume` header, epoch
+    milliseconds and `\\r\\n` line ends, as `csv.writer` would."""
+    ms = np.rint(series.ts * 1000).astype(np.int64).tolist()
+    rows = zip(ms, series.price.tolist(), series.volume.tolist())
+    lines = [PRICE_HEADER, *(f"{m},{p!r},{v!r}" for m, p, v in rows)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "price", "volume"])
-        for t, p, v in zip(series.ts, series.price, series.volume):
-            writer.writerow([int(round(t * 1000)), repr(float(p)), repr(float(v))])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def price_at(series: PriceSeries, when: datetime, pid: Optional[int] = None) -> float:

@@ -5,19 +5,24 @@ Everything here deliberately takes a different route from the package:
 dicts and fractions instead of numpy arrays, Floyd-Warshall pair counting
 instead of Brandes accumulation, a dense linear solve instead of power
 iteration, pure-python scalar loops instead of vectorized layers, a re-count
-of every candidate cut pair instead of per-coin earliest ends. Agreement
-between the two routes is then evidence, not tautology.
+of every candidate cut pair instead of per-coin earliest ends, a
+`csv.DictReader`/`csv.writer` row loop instead of columnar price I/O.
+Agreement between the two routes is then evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
+from perseus.ingest import parse_timestamp
+from perseus.market import PriceSeries, _posix
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +370,35 @@ def reference_chronological_split(messages, targets=(0.70, 0.15, 0.15)):
     if not any(plan.tokens):
         raise SplitInfeasible("no token reaches four spreaders in any split")
     return plan
+
+
+# ---------------------------------------------------------------------------
+# price CSVs
+
+
+def reference_load_price_csv(path, pair=None):
+    """The row loop: `csv.DictReader` and `float()` per field."""
+    path = Path(path)
+    ts, price, volume = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            stamp = row["timestamp"].strip()
+            try:
+                ts.append(float(stamp) / 1000.0)
+            except ValueError:
+                ts.append(_posix(parse_timestamp(stamp)))
+            price.append(float(row["price"]))
+            volume.append(float(row["volume"]))
+    return PriceSeries(pair or path.stem, np.array(ts), np.array(price), np.array(volume))
+
+
+def reference_write_price_csv(path, series):
+    """The row loop: one `csv.writer.writerow` per point."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "price", "volume"])
+        for t, p, v in zip(series.ts, series.price, series.volume):
+            writer.writerow([int(round(t * 1000)), repr(float(p)), repr(float(v))])
 
 
 # ---------------------------------------------------------------------------

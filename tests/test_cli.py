@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from perseus.cli import STAGE_ORDER as STAGES
+from perseus.cli import STAGE_ORDER as STAGES, main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -213,6 +213,19 @@ def test_price_edit_reruns_featurize_onwards(settled):
         )
     assert stages_run(settled) == ["featurize", "train", "infer", "evaluate"]
     assert (settled / "outcomes.jsonl").read_bytes() != outcomes
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["2000,1.5,3", "3000,1.6"], ["3000,1.5,3", "2000,1.6,4"]],
+    ids=["short_row", "not_increasing"],
+)
+def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
+    path = sorted((settled / "data" / "prices").glob("*.csv"))[0]
+    path.write_text("\n".join(["timestamp,price,volume", *rows]) + "\n")
+    assert main(["all", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: featurize:" in err and path.name in err
 
 
 def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):

@@ -1,24 +1,29 @@
 """Price lookup, outcome windows, and outcome files."""
 
 import json
+import warnings
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import oracles
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.market import (
     MissingData,
+    PriceFileError,
     PriceSeries,
     RETURN_PAPER_LITERAL,
     compute_outcomes,
     load_price_csv,
+    load_price_dir,
     outcome,
     price_at,
     write_outcomes,
     write_price_csv,
 )
+from perseus.synth import SynthConfig, generate_corpus
 
 T0 = datetime(2024, 3, 1, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -211,3 +216,99 @@ def test_price_csv_accepts_iso_timestamps(tmp_path):
     assert s.pair == "ARBUSDT"
     assert s.price.tolist() == [1.5, 1.6]
     assert s.ts[0] == T0.timestamp()
+
+
+HEADER = "timestamp,price,volume\r\n"
+PRICE_FILES = {
+    "epoch_ms": HEADER + "1709287200000,1.5,10\r\n1709287260000,1.625,0.0\r\n",
+    "iso": HEADER + "2024-03-01T10:00:00Z,1.5,10\r\n2024-03-01T10:01:00Z,1.6,11\r\n",
+    "one_row": HEADER + "1709287200000,0.000123,7\r\n",
+    "reordered": "price,volume,timestamp\n1.5,10,1709287200000\n1.6,11,1709287260000\n",
+    "blank_line": HEADER + "2000,1.5,3\r\n\r\n3000,1.6,4\r\n",
+    "padded": HEADER + " 2000 , 1.5 ,3\r\n3000,  1.6, 4 \r\n",
+    "extra_column": HEADER + "2000,1.5,3,9\r\n3000,1.6,4,9\r\n",
+    "short_row": HEADER + "2000,1.5,3\r\n3000,1.6\r\n",
+    "short_rows": HEADER + "2000,1.5\r\n3000,1.6\r\n",
+    "trailing_comment": HEADER + "2000,1.5,3 # c\r\n",
+    "hash_line": HEADER + "#x\r\n2000,1.5,3\r\n",
+    "underscore": HEADER + "1_000,1.5,3\r\n2000,1.6,4\r\n",
+    "hex": HEADER + "0x10,1.5,3\r\n",
+    "header_only": HEADER,
+    "lf_only": "timestamp,price,volume\n2000,1.5,3\n3000,1.6,4\n",
+    "cr_only": "timestamp,price,volume\r2000,1.5,3\r3000,1.6,4\r",
+    "not_increasing": HEADER + "3000,1.5,3\r\n2000,1.6,4\r\n",
+    "zero_price": HEADER + "2000,0,3\r\n",
+    "text": HEADER + "2000,abc,3\r\n",
+    "no_volume": "timestamp,price\r\n2000,1.5\r\n",
+}
+
+
+def _load(loader, path):
+    try:
+        return loader(path)
+    except Exception as exc:  # the exception type is what the parity test compares
+        return exc
+
+
+@pytest.mark.parametrize("name", sorted(PRICE_FILES))
+def test_price_loader_matches_the_row_loop(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(PRICE_FILES[name].encode())
+    got = _load(load_price_csv, path)
+    want = _load(oracles.reference_load_price_csv, path)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), f"{got!r} != {want!r}"
+    else:
+        assert got.pair == want.pair
+        for column in ("ts", "price", "volume"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+
+
+def test_header_only_price_file_is_an_empty_series_without_a_warning(tmp_path):
+    path = tmp_path / "EMPTYUSDT.csv"
+    path.write_text(PRICE_FILES["header_only"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty series"):
+            load_price_csv(path)
+
+
+def test_price_writer_matches_the_row_loop_and_round_trips(tmp_path):
+    config = SynthConfig(n_spreaders=8, n_masterminds=2, n_events=6, n_coins=2, seed=4)
+    prices = generate_corpus(config).prices
+    assert prices
+    for pair, s in prices.items():
+        path, ref = tmp_path / f"{pair}.csv", tmp_path / f"{pair}.ref"
+        write_price_csv(path, s)
+        oracles.reference_write_price_csv(ref, s)
+        assert path.read_bytes() == ref.read_bytes()
+        again = load_price_csv(path)
+        for column in ("ts", "price", "volume"):
+            assert np.array_equal(getattr(again, column), getattr(s, column)), column
+
+
+def test_price_writer_rounds_like_the_row_loop(tmp_path):
+    """Sub-millisecond stamps round half to even, as round() does."""
+    ms = 1709287200000 + np.array([0.5, 1.5, 2.5, 3.4, 3.6])
+    price = np.array([0.1 + 0.2, 1e-7, 1e22, 3.0, 123.456])
+    s = PriceSeries("HALFUSDT", ms / 1000, price, np.arange(5.0))
+    write_price_csv(tmp_path / "new.csv", s)
+    oracles.reference_write_price_csv(tmp_path / "ref.csv", s)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("short_row", "a row has too few fields"),
+        ("no_volume", "no column 'volume'"),
+        ("text", "could not convert"),
+        ("not_increasing", "strictly increasing"),
+    ],
+)
+def test_price_dir_names_the_unreadable_file(tmp_path, name, reason):
+    (tmp_path / "GOODUSDT.csv").write_text(PRICE_FILES["epoch_ms"])
+    (tmp_path / "BADUSDT.csv").write_text(PRICE_FILES[name])
+    with pytest.raises(PriceFileError, match=reason) as info:
+        load_price_dir(tmp_path)
+    assert "BADUSDT.csv" in str(info.value)
