@@ -72,8 +72,9 @@ def read_feature_rows(path):
 
 
 def assert_matches_golden(out, name):
-    """Compare out/predictions.jsonl, out/report.json (minus `timing`) and
-    every pinned out/features/*.csv with the copies in tests/golden/<name>/.
+    """Compare out/predictions.jsonl, out/report.json (minus `timing`),
+    every pinned out/features/*.csv and, where pinned, the Louvain output
+    out/features/communities.json with the copies in tests/golden/<name>/.
 
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
@@ -83,6 +84,7 @@ def assert_matches_golden(out, name):
         cp OUT/predictions.jsonl tests/golden/<name>/
         python -c "$STRIP" OUT/report.json > tests/golden/<name>/report.json
         cp OUT/features/{train,val,test}.csv tests/golden/synth_default/features/
+        cp OUT/features/communities.json tests/golden/synth_default/features/
 
     where STRIP is this Python, which drops the machine-dependent `timing`:
 
@@ -104,6 +106,10 @@ def assert_matches_golden(out, name):
     for pinned in sorted((golden / "features").glob("*.csv")):
         got = read_feature_rows(out / "features" / pinned.name)
         assert_close(got, read_feature_rows(pinned), f"{name}/features/{pinned.name}")
+    pinned = golden / "features" / "communities.json"
+    if pinned.exists():
+        got = json.loads((out / "features" / "communities.json").read_text())
+        assert_close(got, json.loads(pinned.read_text()), f"{name}/features/communities.json")
 
 
 def test_default_run_matches_golden(pipeline):
