@@ -22,51 +22,40 @@ EGO_KEYS = (
 
 
 def ego_features(adj: np.ndarray, v: int, weighted: bool) -> dict[str, float]:
-    row = adj[v]
-    alters = [int(j) for j in np.flatnonzero(row) if j != v]
-    n = len(alters)
+    """The six ego measures of node v; see `ego_feature_matrix`."""
+    return {key: float(col[v]) for key, col in ego_feature_matrix(adj, weighted).items()}
 
-    if n == 0:
-        feats = {key: 0.0 for key in EGO_KEYS}
-    else:
-        ties_total = 0.0
-        for i in alters:
-            for j in alters:
-                if i != j and adj[i, j] > 0:
-                    ties_total += adj[i, j] if weighted else 1.0
-        q = float(row[alters].sum()) if weighted else float(n)
-        feats = {
-            "effective_size": n - ties_total / n,
-            "efficiency": 1.0 - ties_total / (n * n),
-            "out_degree": q,
-            "out_ratio": q / n,
-            "density": 0.0,
-        }
-        if n >= 2:
-            members = [v, *alters]
-            m = 0.0
-            for i in members:
-                for j in members:
-                    if i != j and adj[i, j] > 0:
-                        m += adj[i, j] if weighted else 1.0
-            feats["density"] = 2.0 * m / (n * (n - 1))
 
-    col = adj[:, v]
-    in_alters = [int(j) for j in np.flatnonzero(col) if j != v]
-    if in_alters:
-        indeg = float(col[in_alters].sum()) if weighted else float(len(in_alters))
-        feats["in_ratio"] = indeg / len(in_alters)
-    else:
-        feats["in_ratio"] = 0.0
-    return feats
+def _tie_sum(w: np.ndarray, members: np.ndarray) -> float:
+    """Sum of w over members × members, added one term at a time in row-major
+    order from 0.0 (np.cumsum never regroups, and a non-edge adds 0.0)."""
+    return np.cumsum(w[np.ix_(members, members)].ravel())[-1]
 
 
 def ego_feature_matrix(adj: np.ndarray, weighted: bool) -> dict[str, np.ndarray]:
     """All six ego measures for every node, keyed like EGO_KEYS."""
-    n = len(adj)
-    out = {key: np.zeros(n) for key in EGO_KEYS}
-    for v in range(n):
-        feats = ego_features(adj, v, weighted)
-        for key in EGO_KEYS:
-            out[key][v] = feats[key]
+    size = len(adj)
+    w = np.where(adj > 0, adj if weighted else 1.0, 0.0)
+    np.fill_diagonal(w, 0.0)
+    out = {key: np.zeros(size) for key in EGO_KEYS}
+    for v in range(size):
+        row, col = adj[v], adj[:, v]
+        alters = np.flatnonzero(row)
+        alters = alters[alters != v]
+        n = len(alters)
+        if n:
+            ties = _tie_sum(w, alters)
+            q = float(row[alters].sum()) if weighted else float(n)
+            out["effective_size"][v] = n - ties / n
+            out["efficiency"][v] = 1.0 - ties / (n * n)
+            out["out_degree"][v] = q
+            out["out_ratio"][v] = q / n
+            if n >= 2:
+                m = _tie_sum(w, np.concatenate(([v], alters)))
+                out["density"][v] = 2.0 * m / (n * (n - 1))
+        in_alters = np.flatnonzero(col)
+        in_alters = in_alters[in_alters != v]
+        if len(in_alters):
+            indeg = float(col[in_alters].sum()) if weighted else float(len(in_alters))
+            out["in_ratio"][v] = indeg / len(in_alters)
     return out

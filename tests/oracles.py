@@ -6,7 +6,8 @@ dicts and fractions instead of numpy arrays, Floyd-Warshall pair counting
 instead of Brandes accumulation, a dense linear solve instead of power
 iteration, pure-python scalar loops instead of vectorized layers, a re-count
 of every candidate cut pair instead of per-coin earliest ends, a
-`csv.DictReader`/`csv.writer` row loop instead of columnar price I/O.
+`csv.DictReader`/`csv.writer` row loop instead of columnar price I/O, an
+alters × alters loop instead of in-order tie sums over a masked matrix.
 Agreement between the two routes is then evidence, not tautology.
 """
 
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
+from perseus.features.ego import EGO_KEYS
 from perseus.ingest import parse_timestamp
 from perseus.market import PriceSeries, _posix
 
@@ -137,6 +139,48 @@ def brute_ego(adj, v, weighted):
     if in_alters:
         indeg = sum(adj[u][v] for u in in_alters) if weighted else float(len(in_alters))
         feats["in_ratio"] = indeg / len(in_alters)
+    return feats
+
+
+def reference_ego_features(adj, v, weighted):
+    """The alters × alters loop: one Python addition per tie, in row-major
+    order over the alters, starting from 0.0."""
+    row = adj[v]
+    alters = [int(j) for j in np.flatnonzero(row) if j != v]
+    n = len(alters)
+
+    if n == 0:
+        feats = {key: 0.0 for key in EGO_KEYS}
+    else:
+        ties_total = 0.0
+        for i in alters:
+            for j in alters:
+                if i != j and adj[i, j] > 0:
+                    ties_total += adj[i, j] if weighted else 1.0
+        q = float(row[alters].sum()) if weighted else float(n)
+        feats = {
+            "effective_size": n - ties_total / n,
+            "efficiency": 1.0 - ties_total / (n * n),
+            "out_degree": q,
+            "out_ratio": q / n,
+            "density": 0.0,
+        }
+        if n >= 2:
+            members = [v, *alters]
+            m = 0.0
+            for i in members:
+                for j in members:
+                    if i != j and adj[i, j] > 0:
+                        m += adj[i, j] if weighted else 1.0
+            feats["density"] = 2.0 * m / (n * (n - 1))
+
+    col = adj[:, v]
+    in_alters = [int(j) for j in np.flatnonzero(col) if j != v]
+    if in_alters:
+        indeg = float(col[in_alters].sum()) if weighted else float(len(in_alters))
+        feats["in_ratio"] = indeg / len(in_alters)
+    else:
+        feats["in_ratio"] = 0.0
     return feats
 
 

@@ -28,7 +28,7 @@ from perseus.features import (
 )
 from perseus.features.centrality import betweenness, closeness, clustering, pagerank
 from perseus.features.community import louvain, modularity, symmetrize
-from perseus.features.ego import ego_features
+from perseus.features.ego import EGO_KEYS, ego_feature_matrix, ego_features
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.market import MarketOutcome
 
@@ -188,6 +188,25 @@ def test_ego_bounds_hold_on_random_graphs():
             alters = int(adj[v].sum())
             assert feats["effective_size"] <= alters + 1e-12
             assert feats["efficiency"] <= 1.0 + 1e-12
+
+
+def test_ego_matrix_matches_the_reference_loop_bit_for_bit():
+    """Seeded random graphs, n from 2 to 120 and density from 0.05 to 0.9,
+    every third with a non-zero diagonal and some negative weights (alters
+    but not ties), each as given and as 0/1."""
+    rng = np.random.default_rng(2024)
+    sizes = np.linspace(2, 120, 16).astype(int)
+    densities = np.linspace(0.05, 0.9, 16)
+    for k, (n, p) in enumerate(zip(sizes, rng.permutation(densities))):
+        weights = np.round(rng.random((n, n)) * 1.2 - 0.1, 9)
+        adj = np.where(rng.random((n, n)) < p, weights, 0.0)
+        if k % 3:
+            np.fill_diagonal(adj, 0.0)
+        for graph, weighted in ((adj, True), ((adj > 0).astype(float), False)):
+            got = ego_feature_matrix(graph, weighted)
+            want = [oracles.reference_ego_features(graph, v, weighted) for v in range(n)]
+            for key in EGO_KEYS:
+                assert np.array_equal(got[key], [f[key] for f in want]), (n, p, weighted, key)
 
 
 # ---------------------------------------------------------------------------
