@@ -83,18 +83,20 @@ def _local_moves(adj: np.ndarray, m2: float) -> tuple[np.ndarray, bool]:
     return comm, moved_any
 
 
-def _aggregate(adj: np.ndarray, comm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse communities into super-nodes (labels renumbered by first use)."""
+def _first_use(labels: np.ndarray) -> np.ndarray:
+    """Labels renumbered 0, 1, ... in order of first appearance."""
     order: dict[int, int] = {}
-    for c in comm:
-        if c not in order:
-            order[c] = len(order)
-    relabeled = np.array([order[c] for c in comm])
-    size = len(order)
+    return np.array([order.setdefault(int(c), len(order)) for c in labels])
+
+
+def _aggregate(adj: np.ndarray, comm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse communities into super-nodes (labels renumbered by first use).
+    np.add.at adds the edges in row-major order, one at a time."""
+    relabeled = _first_use(comm)
+    size = int(relabeled.max()) + 1
     agg = np.zeros((size, size))
-    for i in range(len(adj)):
-        for j in np.flatnonzero(adj[i]):
-            agg[relabeled[i], relabeled[j]] += adj[i, j]
+    i, j = np.nonzero(adj)
+    np.add.at(agg, (relabeled[i], relabeled[j]), adj[i, j])
     return agg, relabeled
 
 
@@ -115,18 +117,10 @@ def louvain(weighted: np.ndarray) -> CommunityPartition:
         comm, moved = _local_moves(current, m2)
         agg, relabeled = _aggregate(current, comm)
         mapping = relabeled[mapping]
-        flat = {i: int(mapping[i]) for i in range(n)}
-        history.append(modularity(sym, flat))
+        history.append(modularity(sym, dict(enumerate(mapping.tolist()))))
         if not moved or len(agg) == len(current):
             break
         current = agg
 
-    # renumber communities by first appearance over node index order
-    seen: dict[int, int] = {}
-    assignment = {}
-    for i in range(n):
-        c = int(mapping[i])
-        if c not in seen:
-            seen[c] = len(seen)
-        assignment[i] = seen[c]
+    assignment = dict(enumerate(_first_use(mapping).tolist()))
     return CommunityPartition(assignment, modularity(sym, assignment), tuple(history))
