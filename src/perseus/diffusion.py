@@ -204,19 +204,15 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     stem = graph.cryptocurrency
     with open(directory / f"{stem}.nodes.tsv", "w", encoding="utf-8") as fh:
-        for i, entity in enumerate(graph.nodes):
-            fh.write(f"{i}\t{entity}\n")
+        fh.writelines(f"{i}\t{entity}\n" for i, entity in enumerate(graph.nodes))
+    nodes, weighted = graph.nodes, graph.weighted
     with open(directory / f"{stem}.weighted.tsv", "w", encoding="utf-8") as fh:
-        for r in range(graph.n):
-            for s in range(graph.n):
-                w = graph.weighted[r, s]
-                if w > 0:
-                    fh.write(f"{graph.nodes[r]}\t{graph.nodes[s]}\t{w:.9f}\n")
+        fh.writelines(
+            f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:.9f}\n"
+            for r, s in zip(*np.nonzero(weighted > 0))
+        )
     with open(directory / f"{stem}.directed.tsv", "w", encoding="utf-8") as fh:
-        for r in range(graph.n):
-            for s in range(graph.n):
-                if graph.directed[r, s]:
-                    fh.write(f"{graph.nodes[r]}\t{graph.nodes[s]}\n")
+        fh.writelines(f"{nodes[r]}\t{nodes[s]}\n" for r, s in zip(*np.nonzero(graph.directed)))
     participation = {
         entity: sorted(ids) for entity, ids in graph.event_participation.items()
     }
