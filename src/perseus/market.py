@@ -48,7 +48,8 @@ class PriceFileError(ValueError):
 
 @dataclass
 class PriceSeries:
-    """Strictly time-ordered (timestamp, price, volume) triples for one pair."""
+    """Strictly time-ordered (timestamp, price, volume) triples for one pair;
+    stamps are finite and prices finite and positive."""
 
     pair: str
     ts: np.ndarray      # POSIX seconds, float64
@@ -63,10 +64,10 @@ class PriceSeries:
             raise ValueError(f"{self.pair}: column lengths differ")
         if len(self.ts) == 0:
             raise ValueError(f"{self.pair}: empty series")
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError(f"{self.pair}: timestamps must be strictly increasing")
-        if np.any(self.price <= 0):
-            raise ValueError(f"{self.pair}: prices must be positive")
+        if not np.isfinite(self.ts).all() or np.any(np.diff(self.ts) <= 0):
+            raise ValueError(f"{self.pair}: timestamps must be finite and strictly increasing")
+        if not (np.isfinite(self.price) & (self.price > 0)).all():
+            raise ValueError(f"{self.pair}: prices must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.ts)

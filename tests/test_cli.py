@@ -223,8 +223,13 @@ def test_price_edit_reruns_featurize_onwards(settled):
 
 @pytest.mark.parametrize(
     "rows",
-    [["2000,1.5,3", "3000,1.6"], ["3000,1.5,3", "2000,1.6,4"]],
-    ids=["short_row", "not_increasing"],
+    [
+        ["2000,1.5,3", "3000,1.6"],
+        ["3000,1.5,3", "2000,1.6,4"],
+        ["2000,nan,3", "3000,1.6,4"],
+        ["2000,1.5,3", "inf,1.6,4"],
+    ],
+    ids=["short_row", "not_increasing", "nan_price", "inf_stamp"],
 )
 def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     path = sorted((settled / "data" / "prices").glob("*.csv"))[0]

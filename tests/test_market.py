@@ -65,6 +65,22 @@ def test_series_validation():
         series([(0, 100.0), (1, 0.0)])  # nonpositive price
 
 
+@pytest.mark.parametrize(
+    "ts, price, reason",
+    [
+        ([1.0, np.nan, 0.5], [1.0, 1.0, 1.0], "timestamps"),
+        ([np.nan], [1.0], "timestamps"),
+        ([1.0, np.inf], [1.0, 1.0], "timestamps"),
+        ([1.0, 2.0], [1.0, np.nan], "prices"),
+        ([1.0, 2.0], [np.inf, 1.0], "prices"),
+    ],
+    ids=["nan_stamp_between", "nan_stamp_alone", "inf_stamp", "nan_price", "inf_price"],
+)
+def test_series_rejects_non_finite_stamps_and_prices(ts, price, reason):
+    with pytest.raises(ValueError, match=f"{reason} must be finite"):
+        PriceSeries("XUSDT", ts, price, np.zeros(len(ts)))
+
+
 def test_price_at_last_point_at_or_before():
     s = series([(0, 100.0), (5, 102.0)])
     assert price_at(s, T0 + timedelta(minutes=3)) == 100.0
@@ -240,6 +256,9 @@ PRICE_FILES = {
     "zero_price": HEADER + "2000,0,3\r\n",
     "text": HEADER + "2000,abc,3\r\n",
     "no_volume": "timestamp,price\r\n2000,1.5\r\n",
+    "nan_price": HEADER + "2000,nan,3\r\n3000,1.6,4\r\n",
+    "inf_price": HEADER + "2000,1.5,3\r\n3000,inf,4\r\n",
+    "nan_stamp": HEADER + "2000,1.5,3\r\nnan,1.6,4\r\n",
 }
 
 
@@ -304,6 +323,9 @@ def test_price_writer_rounds_like_the_row_loop(tmp_path):
         ("no_volume", "no column 'volume'"),
         ("text", "could not convert"),
         ("not_increasing", "strictly increasing"),
+        ("nan_price", "prices must be finite"),
+        ("inf_price", "prices must be finite"),
+        ("nan_stamp", "timestamps must be finite"),
     ],
 )
 def test_price_dir_names_the_unreadable_file(tmp_path, name, reason):
