@@ -79,6 +79,8 @@ def assert_matches_golden(out, name):
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
     (`synth_default`: `perseus synth --out OUT && perseus all --out OUT`;
+    `synth_default_gat`: the same, then
+    `perseus all --out OUT --arch gat --variant directed`;
     `sui`: the commands of test_sui_fixture_recovers_its_masterminds):
 
         cp OUT/predictions.jsonl tests/golden/<name>/
@@ -114,6 +116,14 @@ def assert_matches_golden(out, name):
 
 def test_default_run_matches_golden(pipeline):
     assert_matches_golden(pipeline, "synth_default")
+
+
+def test_gat_directed_run_matches_golden(pipeline, tmp_path):
+    out = tmp_path / "gat"
+    shutil.copytree(pipeline, out)
+    ran = stages_run(out, "--arch", "gat", "--variant", "directed")
+    assert ran == ["train", "infer", "evaluate"]
+    assert_matches_golden(out, "synth_default_gat")
 
 
 def test_all_leaves_every_artifact(pipeline):
