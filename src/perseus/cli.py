@@ -699,8 +699,8 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
     flags_summary = {}
     flags_path = cfg.out_dir / "flags.jsonl"
     if flags_path.exists():
-        n_flags = sum(1 for line in open(flags_path, encoding="utf-8") if line.strip())
-        flags_summary = {"events_flagged": n_flags}
+        lines = flags_path.read_text(encoding="utf-8").splitlines()
+        flags_summary = {"events_flagged": sum(1 for line in lines if line.strip())}
     report = {
         "split": split,
         "n_nodes": int(len(y)),

@@ -1,15 +1,14 @@
 """Message-passing layers with analytic gradients.
 
-Parameters live in plain dicts of numpy arrays, graphs in flat edge arrays
-(src feeds dst). Every forward returns a cache that its backward consumes;
-backward returns the gradient w.r.t. the input features plus a gradient dict
-shaped exactly like the parameter dict. No autograd anywhere: each formula
-below is differentiated by hand and finite-difference tests hold the line.
+Parameters live in plain dicts of numpy arrays, a graph in one dense (n, n)
+0/1 in-neighbour mask whose row i marks the nodes feeding i, self included.
+Every forward returns a cache that its backward consumes; backward returns
+the gradient w.r.t. the input features plus a gradient dict shaped exactly
+like the parameter dict. No autograd anywhere: each formula below is
+differentiated by hand and finite-difference tests hold the line.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -44,45 +43,30 @@ def init_sage_layer(rng: np.random.Generator, d_in: int, d_out: int) -> dict[str
     }
 
 
-def add_self_loops(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    loops = np.arange(n)
-    return np.concatenate([src, loops]), np.concatenate([dst, loops])
-
-
 def gat_forward(
     h: np.ndarray,
     params: dict[str, np.ndarray],
-    src: np.ndarray,
-    dst: np.ndarray,
+    inbound: np.ndarray,
     activate: bool,
 ) -> tuple[np.ndarray, dict]:
     """Single-head attention layer.
 
-    Edge scores are LeakyReLU(a_self . g_center + a_neigh . g_source) with
-    softmax over each center's in-edges; self-loops are appended here so every
-    node attends at least to itself.
+    inbound[i, j] is 1 where j feeds i, diagonal included, so every node
+    attends at least to itself. score[i, j] = LeakyReLU(a_self . g_i +
+    a_neigh . g_j), softmax over each row's inbound entries.
     """
-    n, d_out = len(h), params["weight"].shape[1]
-    src, dst = add_self_loops(n, src, dst)
+    d_out = params["weight"].shape[1]
     g = h @ params["weight"]
     a_self, a_neigh = params["att"][:d_out], params["att"][d_out:]
-    score = g[dst] @ a_self + g[src] @ a_neigh
-    bent = np.where(score > 0, score, LEAKY_SLOPE * score)
-
-    peak = np.full(n, -np.inf)
-    np.maximum.at(peak, dst, bent)
-    ex = np.exp(bent - peak[dst])
-    z = np.zeros(n)
-    np.add.at(z, dst, ex)
-    alpha = ex / z[dst]
-
-    pre = np.zeros((n, d_out))
-    np.add.at(pre, dst, alpha[:, None] * g[src])
-    pre += params["bias"]
+    score = (g @ a_self)[:, None] + (g @ a_neigh)[None, :]
+    bent = np.where(inbound > 0, np.where(score > 0, score, LEAKY_SLOPE * score), -np.inf)
+    ex = np.exp(bent - bent.max(axis=1, keepdims=True))
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    pre = alpha @ g + params["bias"]
     out = elu(pre) if activate else pre
     cache = {
-        "h": h, "g": g, "src": src, "dst": dst, "score": score,
-        "alpha": alpha, "pre": pre, "activate": activate, "params": params,
+        "h": h, "g": g, "score": score, "alpha": alpha, "pre": pre,
+        "activate": activate, "params": params,
     }
     return out, cache
 
@@ -90,38 +74,31 @@ def gat_forward(
 def gat_backward(cache: dict, d_out_grad: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     params = cache["params"]
     h, g = cache["h"], cache["g"]
-    src, dst = cache["src"], cache["dst"]
     alpha, score, pre = cache["alpha"], cache["score"], cache["pre"]
     d_outdim = params["weight"].shape[1]
     a_self, a_neigh = params["att"][:d_outdim], params["att"][d_outdim:]
 
-    d_pre = d_out_grad * elu_grad(pre) if cache["activate"] else d_out_grad.copy()
+    d_pre = d_out_grad * elu_grad(pre) if cache["activate"] else d_out_grad
     d_bias = d_pre.sum(axis=0)
 
-    # message term: pre_i = sum_e alpha_e * g[src_e]
-    d_alpha = np.einsum("ed,ed->e", d_pre[dst], g[src])
-    d_g = np.zeros_like(g)
-    np.add.at(d_g, src, alpha[:, None] * d_pre[dst])
+    # message term: pre = alpha @ g
+    d_g = alpha.T @ d_pre
+    d_alpha = d_pre @ g.T
 
-    # softmax over each center's edges
-    weighted = alpha * d_alpha
-    per_center = np.zeros(len(h))
-    np.add.at(per_center, dst, weighted)
-    d_bent = alpha * (d_alpha - per_center[dst])
-
+    # softmax over each row; alpha is 0 off the mask, so d_bent is too
+    d_bent = alpha * (d_alpha - (alpha * d_alpha).sum(axis=1, keepdims=True))
     d_score = d_bent * np.where(score > 0, 1.0, LEAKY_SLOPE)
 
-    d_a_self = d_score @ g[dst]
-    d_a_neigh = d_score @ g[src]
-    np.add.at(d_g, dst, d_score[:, None] * a_self[None, :])
-    np.add.at(d_g, src, d_score[:, None] * a_neigh[None, :])
+    # score[i, j] = a_self . g_i + a_neigh . g_j
+    to_center, from_source = d_score.sum(axis=1), d_score.sum(axis=0)
+    d_g += np.outer(to_center, a_self) + np.outer(from_source, a_neigh)
 
     d_weight = h.T @ d_g
     d_h = d_g @ params["weight"].T
     grads = {
         "weight": d_weight,
         "bias": d_bias,
-        "att": np.concatenate([d_a_self, d_a_neigh]),
+        "att": np.concatenate([to_center @ g, from_source @ g]),
     }
     return d_h, grads
 
@@ -129,34 +106,25 @@ def gat_backward(cache: dict, d_out_grad: np.ndarray) -> tuple[np.ndarray, dict[
 def sage_forward(
     h: np.ndarray,
     params: dict[str, np.ndarray],
-    src: np.ndarray,
-    dst: np.ndarray,
+    inbound: np.ndarray,
     activate: bool,
 ) -> tuple[np.ndarray, dict]:
-    """Mean aggregation over the node and its in-neighbors, then a dense map."""
-    n = len(h)
-    cnt = np.ones(n)
-    np.add.at(cnt, dst, 1.0)
-    agg = h.copy()
-    np.add.at(agg, dst, h[src])
-    agg /= cnt[:, None]
+    """Mean over the node and its in-neighbors (the rows of inbound), then a
+    dense map."""
+    mean = inbound / inbound.sum(axis=1, keepdims=True)
+    agg = mean @ h
     z = agg @ params["weight"] + params["bias"]
     out = elu(z) if activate else z
-    cache = {
-        "h": h, "agg": agg, "z": z, "cnt": cnt, "src": src, "dst": dst,
-        "activate": activate, "params": params,
-    }
+    cache = {"agg": agg, "z": z, "mean": mean, "activate": activate, "params": params}
     return out, cache
 
 
 def sage_backward(cache: dict, d_out_grad: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     params = cache["params"]
-    d_z = d_out_grad * elu_grad(cache["z"]) if cache["activate"] else d_out_grad.copy()
+    d_z = d_out_grad * elu_grad(cache["z"]) if cache["activate"] else d_out_grad
     d_weight = cache["agg"].T @ d_z
     d_bias = d_z.sum(axis=0)
-    d_agg = (d_z @ params["weight"].T) / cache["cnt"][:, None]
-    d_h = d_agg.copy()
-    np.add.at(d_h, cache["src"], d_agg[cache["dst"]])
+    d_h = cache["mean"].T @ (d_z @ params["weight"].T)
     return d_h, {"weight": d_weight, "bias": d_bias}
 
 

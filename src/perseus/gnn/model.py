@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -73,27 +73,24 @@ class GraphData:
     y: np.ndarray
     weighted: np.ndarray
     directed: np.ndarray
-    _edge_cache: dict = field(default_factory=dict, repr=False)
 
-    def edges(self, variant: str) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) arrays for the requested variant, self-loops excluded.
+    def inbound(self, variant: str) -> np.ndarray:
+        """(n, n) 0/1 mask for the requested variant: row i marks the nodes
+        that feed i, and the diagonal is 1, so every node also sees itself.
 
         Directed keeps only the arrows that survived the pairwise duel;
         weighted keeps every influence arrow with a nonzero weight, so a node
         aggregates all of its candidate influencers, not just the duel winners.
         """
-        if variant not in self._edge_cache:
-            if variant == VARIANT_DIRECTED:
-                adj = self.directed > 0
-            elif variant == VARIANT_WEIGHTED:
-                adj = self.weighted > 0
-            else:
-                raise ValueError(f"unknown graph variant {variant!r}")
-            adj = adj.copy()
-            np.fill_diagonal(adj, False)
-            src, dst = np.nonzero(adj)
-            self._edge_cache[variant] = (src.astype(np.int64), dst.astype(np.int64))
-        return self._edge_cache[variant]
+        if variant == VARIANT_DIRECTED:
+            adj = self.directed > 0
+        elif variant == VARIANT_WEIGHTED:
+            adj = self.weighted > 0
+        else:
+            raise ValueError(f"unknown graph variant {variant!r}")
+        mask = adj.T.astype(float)
+        np.fill_diagonal(mask, 1.0)
+        return mask
 
     @property
     def n_nodes(self) -> int:
@@ -119,13 +116,13 @@ def forward(
     a NaN, so a diverged run dies where it diverged instead of three stages
     later in the loss.
     """
-    src, dst = graph.edges(config.graph_variant)
+    inbound = graph.inbound(config.graph_variant)
     run = gat_forward if config.architecture == ARCH_GAT else sage_forward
     h = graph.x
     caches = []
     last = len(params) - 1
     for i, layer in enumerate(params):
-        h, cache = run(h, layer, src, dst, activate=(i != last))
+        h, cache = run(h, layer, inbound, activate=(i != last))
         if np.isnan(h).any():
             raise FloatingPointError(
                 f"NaN in layer {i} output on graph {graph.graph_id}"

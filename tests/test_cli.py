@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the installed CLI entry point."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -8,11 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from perseus.cli import STAGE_ORDER as STAGES, main
+from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -260,6 +262,16 @@ def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):
 def test_epochs_edit_reruns_train_onwards(settled, tmp_path):
     config = write_config(tmp_path / "epochs.json", model={"epochs": 20})
     assert stages_run(settled, "--config", config) == ["train", "infer", "evaluate"]
+
+
+def test_evaluate_closes_every_file_it_reads(settled):
+    cfg = build_config(None, out_override=str(settled))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _evaluate(cfg, "test")
+        gc.collect()
+    leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaked == []
 
 
 def test_training_is_byte_reproducible(pipeline, tmp_path):

@@ -68,10 +68,14 @@ def test_weighted_variant_keeps_duel_losers():
     w[0, 1] = 0.8
     w[1, 0] = 0.2  # loses the duel but still carries influence
     g = make_graph(w, np.zeros((3, 1)), [0, 0, 0])
-    src, dst = g.edges("weighted")
-    assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0)]
-    src, dst = g.edges("directed")
-    assert list(zip(src.tolist(), dst.tolist())) == [(0, 1)]
+    np.testing.assert_array_equal(
+        g.inbound("weighted"), [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    )
+    np.testing.assert_array_equal(
+        g.inbound("directed"), [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    )
+    with pytest.raises(ValueError):
+        g.inbound("mixed")
 
 
 def test_zero_parameters_predict_half():
@@ -101,22 +105,37 @@ def test_gat_attention_sums_to_one_per_node():
     params = init_params(config, g.x.shape[1])
     _, _, caches = forward(params, config, g, keep_caches=True)
     for cache in caches:
-        sums = np.zeros(g.n_nodes)
-        np.add.at(sums, cache["dst"], cache["alpha"])
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+        np.testing.assert_allclose(cache["alpha"].sum(axis=1), 1.0, atol=1e-12)
+
+
+def random_graph_with_a_source(in_dim, seed, n=12):
+    """A seeded random graph in which node 4 has no in-neighbour."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=n, in_dim=in_dim)
+    g.weighted[:, 4] = 0.0
+    g.directed[:, 4] = 0.0
+    return g
 
 
 @pytest.mark.parametrize("arch", [ARCH_GAT, ARCH_SAGE])
 def test_forward_matches_scalar_reference(arch):
-    g = path_graph(in_dim=2, seed=7)
-    config = ModelConfig(architecture=arch, hidden_channels=4, num_layers=2)
-    params = init_params(config, 2)
-    layers = [{name: arr.tolist() for name, arr in layer.items()} for layer in params]
-    src, dst = g.edges(config.graph_variant)
-    edges = list(zip(src.tolist(), dst.tolist()))
-    oracle = oracles.scalar_gat_forward if arch == ARCH_GAT else oracles.scalar_sage_forward
-    expected = oracle(g.x.tolist(), layers, edges)
-    np.testing.assert_allclose(forward(params, config, g), expected, atol=1e-12)
+    for make in (path_graph, random_graph_with_a_source):
+        g = make(in_dim=2, seed=7)
+        for variant in ("directed", "weighted"):
+            config = ModelConfig(
+                architecture=arch, graph_variant=variant, hidden_channels=4, num_layers=2
+            )
+            params = init_params(config, 2)
+            layers = [{name: arr.tolist() for name, arr in layer.items()} for layer in params]
+            neighbours = g.inbound(variant) - np.eye(g.n_nodes)
+            dst, src = np.nonzero(neighbours)
+            assert src.size > 0 and (neighbours.sum(axis=1) == 0).any()
+            edges = list(zip(src.tolist(), dst.tolist()))
+            oracle = (
+                oracles.scalar_gat_forward if arch == ARCH_GAT else oracles.scalar_sage_forward
+            )
+            expected = oracle(g.x.tolist(), layers, edges)
+            np.testing.assert_allclose(forward(params, config, g), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("arch", [ARCH_GAT, ARCH_SAGE])
