@@ -213,6 +213,8 @@ def build_config(
             problems.append("model.epochs: must be positive")
         if not 0.0 <= model.threshold <= 1.0:
             problems.append("model.threshold: must be in [0, 1]")
+        if model.seed < 0:
+            problems.append("model.seed: must be non-negative")
 
     if problems:
         raise ConfigError(problems)

@@ -75,6 +75,10 @@ class SynthConfig:
             raise ValueError("target_hit_rate must be in [0, 1]")
         if self.start.tzinfo is None:
             raise ValueError("start must be timezone-aware")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.bar_minutes < 1:
+            raise ValueError("bar_minutes must be at least 1")
 
     def coin(self, k: int) -> str:
         return f"COIN{k:02d}"
@@ -332,10 +336,18 @@ def generate_prices(
     entry·(1 + step·(k + 1/2)) shortly after the cascade ends, then decays;
     outside event windows it follows a geometric random walk, and inside
     them it idles with bounded jitter so no extra target is crossed.
+
+    The per-bar draws are part of the corpus contract: a walk or idle bar
+    draws one standard normal, then every bar draws one uniform for its
+    volume, all from one generator per pair. Reordering or vectorizing the
+    draws, or taking exp/log from numpy rather than `math`, changes every corpus.
     """
     clusters = _cluster_messages(messages)
     series: dict[str, PriceSeries] = {}
     bar = config.bar_minutes * 60
+    drift, vol = config.price_drift, config.price_volatility
+    jitter = 0.25 * vol
+    exp, log = math.exp, math.log
     for coin, events in clusters.items():
         pair = f"{coin}USDT"
         rng = np.random.default_rng(
@@ -343,6 +355,8 @@ def generate_prices(
                 [config.seed, int(hashlib.sha256(pair.encode()).hexdigest()[:8], 16)]
             )
         )
+        normal, uniform = rng.standard_normal, rng.random
+        # Per plan, as POSIX seconds: start, window end, peak, decay end.
         plans = []
         for idx, cluster in enumerate(events):
             first = cluster[0]
@@ -353,61 +367,47 @@ def generate_prices(
             t_peak = _snap_to_bar(t_last + timedelta(hours=PEAK_LAG_HOURS), config.bar_minutes)
             t_decay = t_peak + timedelta(hours=DECAY_HOURS)
             peak = entry * (1.0 + config.target_step * (k + 0.5)) if k > 0 else entry
-            plans.append((t0, t_peak, t_decay, entry, peak))
-        t_start = plans[0][0] - timedelta(minutes=config.bar_minutes) - timedelta(hours=73)
-        t_end = plans[-1][0] + timedelta(hours=73)
-        n_bars = int((t_end - t_start).total_seconds() // bar) + 1
-        ts = np.array(
-            [t_start.timestamp() + i * bar for i in range(n_bars)], dtype=np.float64
-        )
-        prices = np.empty(n_bars, dtype=np.float64)
-        volumes = np.empty(n_bars, dtype=np.float64)
-        log_p = math.log(plans[0][3])
+            s0 = t0.timestamp()
+            plans.append((
+                s0, s0 + 72 * 3600.0, t_peak.timestamp(), t_decay.timestamp(),
+                entry, peak > entry, log(entry), log(peak),
+            ))
+        plans.append((math.inf,))  # no bar reaches it, so the last plan holds
+        s_start = plans[0][0] - bar - 73 * 3600.0
+        n_bars = int((plans[-2][0] + 73 * 3600.0 - s_start) // bar) + 1
+        ts = [s_start + i * bar for i in range(n_bars)]
+        prices, volumes = [], []
         plan_i = 0
-        for i in range(n_bars):
-            t = ts[i]
-            while plan_i + 1 < len(plans) and t >= plans[plan_i + 1][0].timestamp():
+        s0, s_end, s_peak, s_decay, entry, rises, log_entry, log_peak = plans[0]
+        log_p = log_entry
+        for t in ts:
+            while t >= plans[plan_i + 1][0]:
                 plan_i += 1
-            t0, t_peak, t_decay, entry, peak = plans[plan_i]
-            s0, s_peak, s_decay = t0.timestamp(), t_peak.timestamp(), t_decay.timestamp()
-            window_end = s0 + 72 * 3600.0
-            in_window = s0 <= t <= window_end
-            ramp = False
+                s0, s_end, s_peak, s_decay, entry, rises, log_entry, log_peak = plans[plan_i]
+            factor = 1.0
             if t < s0:
-                log_p += config.price_drift + config.price_volatility * float(
-                    rng.standard_normal()
-                )
-                level = math.exp(log_p)
+                log_p += drift + vol * normal()
+                level = exp(log_p)
             elif t == s0:
                 level = entry
-                log_p = math.log(entry)
-            elif t <= s_peak and peak > entry:
-                frac = (t - s0) / (s_peak - s0)
-                level = math.exp(
-                    math.log(entry) + frac * (math.log(peak) - math.log(entry))
-                )
-                log_p = math.log(level)
-                ramp = True
-            elif t <= s_decay and peak > entry:
-                frac = (t - s_peak) / (s_decay - s_peak)
-                level = math.exp(
-                    math.log(peak) + frac * (math.log(entry) - math.log(peak))
-                )
-                log_p = math.log(level)
-                ramp = True
-            elif in_window:
-                level = math.exp(log_p) * (
-                    1.0 + 0.25 * config.price_volatility * float(rng.standard_normal())
-                )
+                log_p = log_entry
+            elif t <= s_peak and rises:
+                level = exp(log_entry + (t - s0) / (s_peak - s0) * (log_peak - log_entry))
+                log_p = log(level)
+                factor = RAMP_VOLUME_FACTOR
+            elif t <= s_decay and rises:
+                level = exp(log_peak + (t - s_peak) / (s_decay - s_peak) * (log_entry - log_peak))
+                log_p = log(level)
+                factor = RAMP_VOLUME_FACTOR
+            elif t <= s_end:
+                level = exp(log_p) * (1.0 + jitter * normal())
             else:
-                log_p += config.price_drift + config.price_volatility * float(
-                    rng.standard_normal()
-                )
-                level = math.exp(log_p)
-            prices[i] = level
-            base = BASE_VOLUME * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
-            volumes[i] = base * (RAMP_VOLUME_FACTOR if ramp else 1.0)
-        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices, volume=volumes)
+                log_p += drift + vol * normal()
+                level = exp(log_p)
+            prices.append(level)
+            # Generator.uniform(-1, 1) computes -1 + 2·u from the same draw.
+            volumes.append(BASE_VOLUME * (1.0 + 0.1 * (-1.0 + 2.0 * uniform())) * factor)
+        series[pair] = PriceSeries(pair, np.array(ts), np.array(prices), np.array(volumes))
     return series
 
 

@@ -7,14 +7,18 @@ instead of Brandes accumulation, a dense linear solve instead of power
 iteration, pure-python scalar loops instead of vectorized layers, a re-count
 of every candidate cut pair instead of per-coin earliest ends, a
 `csv.DictReader`/`csv.writer` row loop instead of columnar price I/O, an
-alters × alters loop instead of in-order tie sums over a masked matrix.
+alters × alters loop instead of in-order tie sums over a masked matrix, a
+bar loop over numpy scalars and `datetime` plans instead of one over
+Python floats.
 Agreement between the two routes is then evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -24,6 +28,7 @@ import numpy as np
 from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
 from perseus.features.ego import EGO_KEYS
 from perseus.ingest import parse_timestamp
+from perseus import synth
 from perseus.market import PriceSeries, _posix
 
 
@@ -443,6 +448,93 @@ def reference_write_price_csv(path, series):
         writer.writerow(["timestamp", "price", "volume"])
         for t, p, v in zip(series.ts, series.price, series.volume):
             writer.writerow([int(round(t * 1000)), repr(float(p)), repr(float(v))])
+
+
+# ---------------------------------------------------------------------------
+# synthetic prices
+
+
+def reference_generate_prices(messages, config):
+    """The bar loop over numpy scalars and `datetime` plans, with
+    `rng.uniform(-1.0, 1.0)` for the volume jitter."""
+    clusters = synth._cluster_messages(messages)
+    series: dict[str, PriceSeries] = {}
+    bar = config.bar_minutes * 60
+    for coin, events in clusters.items():
+        pair = f"{coin}USDT"
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                [config.seed, int(hashlib.sha256(pair.encode()).hexdigest()[:8], 16)]
+            )
+        )
+        plans = []
+        for idx, cluster in enumerate(events):
+            first = cluster[0]
+            entry = float(first.entry_prices[0])
+            k = synth._hit_count(config, pair, idx)
+            t0 = synth._snap_to_bar(first.source_datetime, config.bar_minutes)
+            t_last = max(m.source_datetime for m in cluster)
+            t_peak = synth._snap_to_bar(
+                t_last + timedelta(hours=synth.PEAK_LAG_HOURS), config.bar_minutes
+            )
+            t_decay = t_peak + timedelta(hours=synth.DECAY_HOURS)
+            peak = entry * (1.0 + config.target_step * (k + 0.5)) if k > 0 else entry
+            plans.append((t0, t_peak, t_decay, entry, peak))
+        t_start = plans[0][0] - timedelta(minutes=config.bar_minutes) - timedelta(hours=73)
+        t_end = plans[-1][0] + timedelta(hours=73)
+        n_bars = int((t_end - t_start).total_seconds() // bar) + 1
+        ts = np.array(
+            [t_start.timestamp() + i * bar for i in range(n_bars)], dtype=np.float64
+        )
+        prices = np.empty(n_bars, dtype=np.float64)
+        volumes = np.empty(n_bars, dtype=np.float64)
+        log_p = math.log(plans[0][3])
+        plan_i = 0
+        for i in range(n_bars):
+            t = ts[i]
+            while plan_i + 1 < len(plans) and t >= plans[plan_i + 1][0].timestamp():
+                plan_i += 1
+            t0, t_peak, t_decay, entry, peak = plans[plan_i]
+            s0, s_peak, s_decay = t0.timestamp(), t_peak.timestamp(), t_decay.timestamp()
+            window_end = s0 + 72 * 3600.0
+            in_window = s0 <= t <= window_end
+            ramp = False
+            if t < s0:
+                log_p += config.price_drift + config.price_volatility * float(
+                    rng.standard_normal()
+                )
+                level = math.exp(log_p)
+            elif t == s0:
+                level = entry
+                log_p = math.log(entry)
+            elif t <= s_peak and peak > entry:
+                frac = (t - s0) / (s_peak - s0)
+                level = math.exp(
+                    math.log(entry) + frac * (math.log(peak) - math.log(entry))
+                )
+                log_p = math.log(level)
+                ramp = True
+            elif t <= s_decay and peak > entry:
+                frac = (t - s_peak) / (s_decay - s_peak)
+                level = math.exp(
+                    math.log(peak) + frac * (math.log(entry) - math.log(peak))
+                )
+                log_p = math.log(level)
+                ramp = True
+            elif in_window:
+                level = math.exp(log_p) * (
+                    1.0 + 0.25 * config.price_volatility * float(rng.standard_normal())
+                )
+            else:
+                log_p += config.price_drift + config.price_volatility * float(
+                    rng.standard_normal()
+                )
+                level = math.exp(log_p)
+            prices[i] = level
+            base = synth.BASE_VOLUME * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
+            volumes[i] = base * (synth.RAMP_VOLUME_FACTOR if ramp else 1.0)
+        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices, volume=volumes)
+    return series
 
 
 # ---------------------------------------------------------------------------

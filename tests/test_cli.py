@@ -370,6 +370,17 @@ def test_bad_synth_arguments_fail_with_exit_2(tmp_path):
     assert "config error: synth:" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("synth", "--synth-seed", "-1"), ("all", "--seed", "-1"), ("train", "--seed", "-1")],
+)
+def test_negative_seeds_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sui_fixture_recovers_its_masterminds(tmp_path):
     """The shipped SUI case, end to end through the CLI: parse the corpus,
     build its diffusion graph, train on the hand labels, and the two

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from perseus.features.ego import ego_features
 from perseus.ingest import normalize_symbol, raw_message_to_json
 from perseus.market import compute_outcomes
@@ -11,6 +12,7 @@ from perseus.synth import (
     SynthConfig,
     generate_corpus,
     generate_network,
+    generate_prices,
     load_labels,
     load_truth,
     score_edge_recovery,
@@ -36,6 +38,37 @@ def test_generation_is_byte_deterministic():
     for pair in a.prices:
         np.testing.assert_array_equal(a.prices[pair].price, b.prices[pair].price)
         np.testing.assert_array_equal(a.prices[pair].ts, b.prices[pair].ts)
+        np.testing.assert_array_equal(a.prices[pair].volume, b.prices[pair].volume)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(seed=0),
+        SynthConfig(seed=1),
+        SynthConfig(seed=2),
+        # the graph_wide and price_long bench shapes (perseus synth defaults to 6 coins)
+        SynthConfig(n_spreaders=90, n_masterminds=3, n_events=24, n_coins=3),
+        SynthConfig(n_spreaders=12, n_masterminds=3, n_events=150, n_coins=6, forward_prob=0.1),
+        SynthConfig(n_events=8, target_hit_rate=0.0),  # peak == entry: no ramp
+        SynthConfig(n_events=8, target_hit_rate=1.0),  # every event ramps
+        SynthConfig(n_events=6, bar_minutes=1),
+        SynthConfig(n_events=8, bar_minutes=15),
+        SynthConfig(n_events=8, price_drift=1e-5),
+        SynthConfig(n_events=1),  # one plan, no switch
+    ],
+    ids=lambda c: f"seed{c.seed}-events{c.n_events}-coins{c.n_coins}-hit{c.target_hit_rate}"
+    f"-bar{c.bar_minutes}-drift{c.price_drift}",
+)
+def test_prices_match_the_reference_bar_loop(config):
+    messages = generate_corpus(config, with_prices=False).messages
+    got = generate_prices(messages, config)
+    want = oracles.reference_generate_prices(messages, config)
+    assert list(got) == list(want)
+    for pair in want:
+        for column in ("ts", "price", "volume"):
+            same = np.array_equal(getattr(got[pair], column), getattr(want[pair], column))
+            assert same, (pair, column)
 
 
 def test_network_shape_and_labels():
@@ -175,3 +208,7 @@ def test_config_validation():
         SynthConfig(n_events=0)
     with pytest.raises(ValueError):
         SynthConfig(target_hit_rate=1.5)
+    with pytest.raises(ValueError):
+        SynthConfig(seed=-1)
+    with pytest.raises(ValueError):
+        SynthConfig(bar_minutes=0)
