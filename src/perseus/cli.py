@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import operator
 import os
 import resource
@@ -42,6 +43,8 @@ from .features import (
 )
 from .features.community import louvain
 from .gnn import (
+    ARCHITECTURES,
+    VARIANTS,
     GraphData,
     ModelConfig,
     load_params,
@@ -88,20 +91,75 @@ class PipelineConfig:
     model: ModelConfig
 
 
+def _is_number(value) -> bool:
+    """An int or a finite float; a bool is never a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _numbers(value, ok: Callable[[float], bool]) -> bool:
+    """A list of numbers that each pass `ok`."""
+    return isinstance(value, (list, tuple)) and all(_is_number(x) and ok(x) for x in value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _one_of(choices: tuple[str, ...]) -> tuple:
+    return choices.__contains__, str, " or ".join(map(repr, choices))
+
+
+_PATH = (lambda v: isinstance(v, str) and v != "", Path, "a path string")
+
+# Each top-level field: (default, test a given value must pass, the type it is
+# stored as, what an error says was expected). A callable default is a path
+# under the out dir; `model` is checked field by field below.
+_FIELDS: dict[str, tuple] = {
+    "out_dir": ("out", *_PATH),
+    "corpus": (lambda out: out / "data" / "corpus.jsonl", *_PATH),
+    "prices_dir": (lambda out: out / "data" / "prices", *_PATH),
+    "labels": (lambda out: out / "data" / "labels.json", *_PATH),
+    "split_fractions": (
+        evaluation.SPLIT_FRACTIONS,
+        lambda v: _numbers(v, lambda f: 0 < f < 1) and len(v) == 3 and abs(sum(v) - 1.0) <= 1e-9,
+        _floats,
+        "three fractions in (0,1) summing to 1",
+    ),
+    "event_cap_hours": (
+        events_mod.GAP_CAP / timedelta(hours=1),
+        lambda v: _is_number(v) and v > 0,
+        float,
+        "a positive number",
+    ),
+    "return_rule": (market.RETURN_DIRECTION_AWARE, *_one_of(market.RETURN_RULES)),
+    "aggregation": (diffusion.AGG_PRODUCT, *_one_of(diffusion.AGGREGATIONS)),
+    "threshold_grid": (
+        evaluation.DEFAULT_GRID,
+        lambda v: _numbers(v, lambda t: 0.0 <= t <= 1.0) and len(v) > 0 and list(v) == sorted(v),
+        _floats,
+        "a sorted list of values in [0,1]",
+    ),
+    "model": ({}, lambda v: isinstance(v, dict), dict, "an object"),
+}
+
 # Every model field has a default, whose type is the type the config must give.
 _MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig)}
-_TOP_FIELDS = {f.name for f in fields(PipelineConfig)}
+# Checked once ModelConfig's own checks pass: (rule, what it says when broken).
+_MODEL_RANGES = {
+    "hidden_channels": (lambda v: v >= 1, "must be positive"),
+    "learning_rate": (lambda v: v > 0, "must be positive"),
+    "epochs": (lambda v: v >= 1, "must be positive"),
+    "threshold": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    "seed": (lambda v: v >= 0, "must be non-negative"),
+}
 
 
 def build_config(
     config_path: Optional[str],
     out_override: Optional[str] = None,
-    seed_override: Optional[int] = None,
-    arch_override: Optional[str] = None,
-    variant_override: Optional[str] = None,
+    model_overrides: Optional[dict] = None,
 ) -> PipelineConfig:
-    """Load, default, validate. Collects every problem before failing."""
-    problems: list[str] = []
+    """Load, default, validate; overrides are checked like file values. Reports every problem."""
     raw: dict = {}
     if config_path is not None:
         path = Path(config_path)
@@ -113,123 +171,43 @@ def build_config(
             raise ConfigError([f"config is not valid JSON: {exc}"])
         if not isinstance(raw, dict):
             raise ConfigError(["config root must be a JSON object"])
-    for key in sorted(set(raw) - _TOP_FIELDS):
-        problems.append(f"unknown config field {key!r}")
+    problems = [f"unknown config field {key!r}" for key in sorted(set(raw) - set(_FIELDS))]
+    if out_override is not None:
+        raw = {**raw, "out_dir": out_override}
 
-    out_dir = Path(out_override or raw.get("out_dir") or "out")
+    values: dict = {}
+    for name, (default, test, kind, expected) in _FIELDS.items():
+        if callable(default):
+            default = default(values["out_dir"])
+        value = raw.get(name, default)
+        if name in raw and not test(value):
+            problems.append(f"{name}: expected {expected}, got {value!r}")
+            value = default
+        values[name] = kind(value)
 
-    def path_or_none(name: str, default: Optional[Path]) -> Optional[Path]:
-        value = raw.get(name)
-        if value is None:
-            return default
-        if not isinstance(value, str) or not value:
-            problems.append(f"{name}: expected a path string, got {value!r}")
-            return default
-        return Path(value)
-
-    corpus = path_or_none("corpus", out_dir / "data" / "corpus.jsonl")
-    prices_dir = path_or_none("prices_dir", out_dir / "data" / "prices")
-    labels = path_or_none("labels", out_dir / "data" / "labels.json")
-
-    fractions = raw.get("split_fractions", [0.70, 0.15, 0.15])
-    if (
-        not isinstance(fractions, (list, tuple))
-        or len(fractions) != 3
-        or not all(isinstance(f, (int, float)) and 0 < f < 1 for f in fractions)
-        or abs(sum(fractions) - 1.0) > 1e-9
-    ):
-        problems.append(
-            f"split_fractions: expected three fractions in (0,1) summing to 1, got {fractions!r}"
-        )
-        fractions = [0.70, 0.15, 0.15]
-
-    cap = raw.get("event_cap_hours", 72.0)
-    if not isinstance(cap, (int, float)) or cap <= 0:
-        problems.append(f"event_cap_hours: expected a positive number, got {cap!r}")
-        cap = 72.0
-
-    return_rule = raw.get("return_rule", market.RETURN_DIRECTION_AWARE)
-    if return_rule not in (market.RETURN_DIRECTION_AWARE, market.RETURN_PAPER_LITERAL):
-        problems.append(
-            f"return_rule: expected {market.RETURN_DIRECTION_AWARE!r} or "
-            f"{market.RETURN_PAPER_LITERAL!r}, got {return_rule!r}"
-        )
-        return_rule = market.RETURN_DIRECTION_AWARE
-
-    aggregation = raw.get("aggregation", diffusion.AGG_PRODUCT)
-    if aggregation not in (diffusion.AGG_PRODUCT, diffusion.AGG_QUOTIENT):
-        problems.append(
-            f"aggregation: expected {diffusion.AGG_PRODUCT!r} or "
-            f"{diffusion.AGG_QUOTIENT!r}, got {aggregation!r}"
-        )
-        aggregation = diffusion.AGG_PRODUCT
-
-    grid = raw.get("threshold_grid", list(evaluation.DEFAULT_GRID))
-    if (
-        not isinstance(grid, (list, tuple))
-        or not grid
-        or not all(isinstance(t, (int, float)) and 0.0 <= t <= 1.0 for t in grid)
-        or list(grid) != sorted(grid)
-    ):
-        problems.append(
-            f"threshold_grid: expected a sorted list of values in [0,1], got {grid!r}"
-        )
-        grid = list(evaluation.DEFAULT_GRID)
-
-    model_raw = raw.get("model", {})
+    model_raw = {**values.pop("model"), **(model_overrides or {})}
+    problems += [f"model.{key}: unknown field" for key in sorted(set(model_raw) - set(_MODEL_FIELDS))]
     model_kwargs: dict = {}
-    if not isinstance(model_raw, dict):
-        problems.append(f"model: expected an object, got {model_raw!r}")
-        model_raw = {}
-    for key in sorted(set(model_raw) - set(_MODEL_FIELDS)):
-        problems.append(f"model.{key}: unknown field")
     for key, kind in _MODEL_FIELDS.items():
         if key not in model_raw:
             continue
         value = model_raw[key]
-        if kind is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
             problems.append(f"model.{key}: expected {kind.__name__}, got {value!r}")
-            continue
-        model_kwargs[key] = value
-    if seed_override is not None:
-        model_kwargs["seed"] = seed_override
-    if arch_override is not None:
-        model_kwargs["architecture"] = arch_override
-    if variant_override is not None:
-        model_kwargs["graph_variant"] = variant_override
+        else:
+            model_kwargs[key] = kind(value)
     try:
         model = ModelConfig(**model_kwargs)
     except ValueError as exc:
         problems.append(f"model: {exc}")
-        model = ModelConfig()
     else:
-        if model.hidden_channels < 1:
-            problems.append("model.hidden_channels: must be positive")
-        if model.learning_rate <= 0:
-            problems.append("model.learning_rate: must be positive")
-        if model.epochs < 1:
-            problems.append("model.epochs: must be positive")
-        if not 0.0 <= model.threshold <= 1.0:
-            problems.append("model.threshold: must be in [0, 1]")
-        if model.seed < 0:
-            problems.append("model.seed: must be non-negative")
+        for key, (rule, broken) in _MODEL_RANGES.items():
+            if not rule(getattr(model, key)):
+                problems.append(f"model.{key}: {broken}")
 
     if problems:
         raise ConfigError(problems)
-    return PipelineConfig(
-        out_dir=out_dir,
-        corpus=corpus,
-        prices_dir=prices_dir,
-        labels=labels,
-        split_fractions=tuple(float(f) for f in fractions),  # type: ignore[arg-type]
-        event_cap_hours=float(cap),
-        return_rule=return_rule,
-        aggregation=aggregation,
-        threshold_grid=tuple(float(t) for t in grid),
-        model=model,
-    )
+    return PipelineConfig(**values, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +589,11 @@ def _train(cfg: PipelineConfig) -> list[Path]:
 
 
 def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
-    params, model_cfg, _ = load_params(cfg.out_dir / "model.json")
+    model_path = cfg.out_dir / "model.json"
+    try:
+        params, model_cfg, _ = load_params(model_path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"infer: {model_path}: {exc}") from exc
     std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
     standardizer = Standardizer.from_json(std_text)
     graphs = _load_graphs(cfg)
@@ -870,13 +852,16 @@ def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> Non
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline config JSON")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="model seed override")
 
 
 def _add_model_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arch", choices=("gat", "graphsage"), help="architecture override")
+    """Flags whose dest is a `model` field; `main` passes them as overrides."""
+    parser.add_argument("--seed", type=int, help="model seed override")
     parser.add_argument(
-        "--variant", choices=("weighted", "directed"), help="graph variant override"
+        "--arch", dest="architecture", choices=ARCHITECTURES, help="architecture override"
+    )
+    parser.add_argument(
+        "--variant", dest="graph_variant", choices=VARIANTS, help="graph variant override"
     )
 
 
@@ -924,13 +909,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(
-            args.config,
-            out_override=args.out,
-            seed_override=args.seed,
-            arch_override=getattr(args, "arch", None),
-            variant_override=getattr(args, "variant", None),
-        )
+        model = {k: v for k, v in vars(args).items() if k in _MODEL_FIELDS and v is not None}
+        cfg = build_config(args.config, out_override=args.out, model_overrides=model)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

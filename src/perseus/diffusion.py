@@ -24,6 +24,7 @@ MIN_SPREADERS = 4
 
 AGG_PRODUCT = "dani_product"
 AGG_QUOTIENT = "paper_literal_quotient"
+AGGREGATIONS = (AGG_PRODUCT, AGG_QUOTIENT)
 
 
 class GraphTooSmall(Exception):
@@ -117,7 +118,7 @@ def infer_weighted(
     Returns (nodes sorted by entity id, W normalized to [0, 1], event
     participation). Raises GraphTooSmall below MIN_SPREADERS spreaders.
     """
-    if mode not in (AGG_PRODUCT, AGG_QUOTIENT):
+    if mode not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation mode {mode!r}")
     participation: dict[str, set[int]] = defaultdict(set)
     for event in events:

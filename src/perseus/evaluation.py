@@ -17,6 +17,7 @@ import numpy as np
 from .ingest import CrowdPumpMessage
 
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(21))
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 MIN_SPREADERS_PER_TOKEN = 4
 # Candidate cut indices per cut in the split search's coarse pass.
 SPLIT_COARSE_CELLS = 40
@@ -211,7 +212,7 @@ def _earliest_ends(
 
 def chronological_split(
     messages: Sequence[CrowdPumpMessage],
-    targets: Sequence[float] = (0.70, 0.15, 0.15),
+    targets: Sequence[float] = SPLIT_FRACTIONS,
 ) -> SplitPlan:
     """Search two cut timestamps whose token-count fractions track targets.
 

@@ -58,19 +58,17 @@ def _local_moves(adj: np.ndarray, m2: float) -> tuple[np.ndarray, bool]:
         moved = False
         for i in range(n):
             old = comm[i]
-            # weight from i to each community, self excluded
-            links: dict[int, float] = {}
-            for j in np.flatnonzero(adj[i]):
-                if j != i:
-                    links[comm[j]] = links.get(comm[j], 0.0) + adj[i, j]
+            nbrs = np.flatnonzero(adj[i])
+            nbrs = nbrs[nbrs != i]
+            # weight from i to each community, added in neighbour order
+            links = np.bincount(comm[nbrs], weights=adj[i, nbrs], minlength=n)
             tot[old] -= k[i]
-            comm[i] = -1
-            base = links.get(old, 0.0) / m2 * 2.0 - tot[old] * k[i] * 2.0 / (m2 * m2)
+            base = links[old] / m2 * 2.0 - tot[old] * k[i] * 2.0 / (m2 * m2)
             best_comm, best_gain = old, base
-            for c, w in sorted(links.items()):
+            for c in np.flatnonzero(links):
                 if c == old:
                     continue
-                gain = w / m2 * 2.0 - tot[c] * k[i] * 2.0 / (m2 * m2)
+                gain = links[c] / m2 * 2.0 - tot[c] * k[i] * 2.0 / (m2 * m2)
                 if gain > best_gain + _GAIN_EPS:
                     best_comm, best_gain = c, gain
             comm[i] = best_comm

@@ -36,6 +36,8 @@ ARCH_GAT = "gat"
 ARCH_SAGE = "graphsage"
 VARIANT_DIRECTED = "directed"
 VARIANT_WEIGHTED = "weighted"
+ARCHITECTURES = (ARCH_GAT, ARCH_SAGE)
+VARIANTS = (VARIANT_WEIGHTED, VARIANT_DIRECTED)
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -52,9 +54,9 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.architecture not in (ARCH_GAT, ARCH_SAGE):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.graph_variant not in (VARIANT_DIRECTED, VARIANT_WEIGHTED):
+        if self.graph_variant not in VARIANTS:
             raise ValueError(f"unknown graph variant {self.graph_variant!r}")
         if self.num_layers < 1:
             raise ValueError("num_layers must be at least 1")
@@ -279,7 +281,7 @@ def save_params(
 def load_params(path: Path | str) -> tuple[list[dict[str, np.ndarray]], ModelConfig, int]:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if obj.get("format_version") != PARAMS_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported parameter format {obj.get('format_version')}")
+        raise ValueError(f"unsupported parameter format {obj.get('format_version')}")
     config = ModelConfig(**obj["config"])
     params = [
         {name: np.array(value, dtype=float) for name, value in layer.items()}

@@ -24,6 +24,7 @@ FORWARD_FILL_LIMIT = timedelta(minutes=10)
 
 RETURN_DIRECTION_AWARE = "direction_aware"
 RETURN_PAPER_LITERAL = "paper_literal"
+RETURN_RULES = (RETURN_DIRECTION_AWARE, RETURN_PAPER_LITERAL)
 
 PRICE_HEADER = "timestamp,price,volume"
 # numpy 1.23 replaced loadtxt's Python parser with a C one that converts each
@@ -200,7 +201,7 @@ def outcome(
     A target counts as achieved when the window reached it in the signal's
     direction. Raises MissingData when there is no announcement price.
     """
-    if rule not in (RETURN_DIRECTION_AWARE, RETURN_PAPER_LITERAL):
+    if rule not in RETURN_RULES:
         raise ValueError(f"unknown return rule {rule!r}")
     p0 = price_at(series, message.source_datetime, message.pid)
     lo, hi = _window_indices(series, message.source_datetime, window)

@@ -79,6 +79,12 @@ class SynthConfig:
             raise ValueError("seed must be non-negative")
         if self.bar_minutes < 1:
             raise ValueError("bar_minutes must be at least 1")
+        if self.targets_per_message < 1:
+            raise ValueError("targets_per_message must be at least 1")
+        if self.target_step < 0:
+            raise ValueError("target_step must be non-negative")
+        if self.mean_delay_hours < 0:
+            raise ValueError("mean_delay_hours must be non-negative")
 
     def coin(self, k: int) -> str:
         return f"COIN{k:02d}"

@@ -9,7 +9,7 @@ of every candidate cut pair instead of per-coin earliest ends, a
 `csv.DictReader`/`csv.writer` row loop instead of columnar price I/O, an
 alters × alters loop instead of in-order tie sums over a masked matrix, a
 bar loop over numpy scalars and `datetime` plans instead of one over
-Python floats.
+Python floats, a dict of Louvain link weights instead of `np.bincount`.
 Agreement between the two routes is then evidence, not tautology.
 """
 
@@ -558,6 +558,44 @@ def brute_modularity(weights, assignment):
             if assignment[i] == assignment[j]:
                 q += sym[i][j] / two_m - (k[i] * k[j]) / (two_m * two_m)
     return q
+
+
+def reference_local_moves(adj, m2, gain_eps=1e-12):
+    """One phase of index-order Louvain local moves with a dict of link
+    weights per node, one Python addition per neighbour in index order;
+    returns (community labels, moved?)."""
+    n = len(adj)
+    comm = np.arange(n)
+    k = adj.sum(axis=1)
+    tot = k.copy()
+    moved_any = False
+    while True:
+        moved = False
+        for i in range(n):
+            old = comm[i]
+            # weight from i to each community, self excluded
+            links: dict[int, float] = {}
+            for j in np.flatnonzero(adj[i]):
+                if j != i:
+                    links[comm[j]] = links.get(comm[j], 0.0) + adj[i, j]
+            tot[old] -= k[i]
+            comm[i] = -1
+            base = links.get(old, 0.0) / m2 * 2.0 - tot[old] * k[i] * 2.0 / (m2 * m2)
+            best_comm, best_gain = old, base
+            for c, w in sorted(links.items()):
+                if c == old:
+                    continue
+                gain = w / m2 * 2.0 - tot[c] * k[i] * 2.0 / (m2 * m2)
+                if gain > best_gain + gain_eps:
+                    best_comm, best_gain = c, gain
+            comm[i] = best_comm
+            tot[best_comm] += k[i]
+            if best_comm != old:
+                moved = True
+                moved_any = True
+        if not moved:
+            break
+    return comm, moved_any
 
 
 def iter_partitions(items):

@@ -381,6 +381,62 @@ def test_negative_seeds_are_config_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        pytest.param({"out_dir": 5}, "out_dir", id="out_dir_int"),
+        pytest.param({"out_dir": ""}, "out_dir", id="out_dir_empty"),
+        pytest.param({"corpus": ""}, "corpus", id="corpus"),
+        pytest.param({"prices_dir": 5}, "prices_dir", id="prices_dir"),
+        pytest.param({"labels": ["a"]}, "labels", id="labels"),
+        pytest.param({"split_fractions": [0.5, 0.5, 0.5]}, "split_fractions", id="split_fractions"),
+        pytest.param({"event_cap_hours": True}, "event_cap_hours", id="event_cap_hours_bool"),
+        pytest.param({"return_rule": "optimistic"}, "return_rule", id="return_rule"),
+        pytest.param({"aggregation": "mean"}, "aggregation", id="aggregation"),
+        pytest.param({"threshold_grid": [False, True]}, "threshold_grid", id="threshold_grid_bools"),
+        pytest.param({"model": {"hidden_channels": 0}}, "model.hidden_channels", id="hidden_channels"),
+        pytest.param({"model": {"learning_rate": 0.0}}, "model.learning_rate", id="learning_rate"),
+        pytest.param({"model": {"epochs": 0}}, "model.epochs", id="epochs"),
+        pytest.param({"model": {"threshold": 1.5}}, "model.threshold", id="threshold"),
+        pytest.param({"model": {"seed": -1}}, "model.seed", id="seed"),
+    ],
+)
+def test_one_bad_value_is_one_config_error(tmp_path, monkeypatch, capsys, fields, field):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path / "config.json", **fields)
+    assert main(["all", "--config", config]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {field}: "), lines
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_seed_is_a_flag_of_train_and_all_only(capsys):
+    for command in [*STAGES, "synth"]:
+        if command == "train":
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: {**obj, "format_version": 2},
+        lambda obj: {**obj, "config": {**obj["config"], "architecture": "mlp"}},
+        lambda obj: [obj],
+    ],
+    ids=["format_version", "architecture", "not_an_object"],
+)
+def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
+    path = settled / "model.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["infer", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: infer: {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_sui_fixture_recovers_its_masterminds(tmp_path):
     """The shipped SUI case, end to end through the CLI: parse the corpus,
     build its diffusion graph, train on the hand labels, and the two

@@ -27,7 +27,7 @@ from perseus.features import (
     write_features_csv,
 )
 from perseus.features.centrality import betweenness, closeness, clustering, pagerank
-from perseus.features.community import louvain, modularity, symmetrize
+from perseus.features.community import _local_moves, louvain, modularity, symmetrize
 from perseus.features.ego import EGO_KEYS, ego_feature_matrix, ego_features
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.market import MarketOutcome
@@ -270,6 +270,26 @@ def test_complete_graph_stays_whole():
     part = louvain(w)
     assert part.n_communities == 1
     assert part.modularity == pytest.approx(0.0, abs=1e-12)
+
+
+def test_local_moves_match_the_reference_loop_bit_for_bit():
+    """Seeded random non-negative graphs, n from 2 to 120, symmetric as
+    louvain passes them, every third with a non-zero diagonal as an
+    aggregated graph has; weighted and 0/1."""
+    rng = np.random.default_rng(4242)
+    sizes = np.linspace(2, 120, 16).astype(int)
+    densities = np.linspace(0.05, 0.9, 16)
+    for k, (n, p) in enumerate(zip(sizes, rng.permutation(densities))):
+        w = np.where(rng.random((n, n)) < p, np.round(rng.random((n, n)), 9), 0.0)
+        adj = (w + w.T) / 2.0
+        if k % 3:
+            np.fill_diagonal(adj, 0.0)
+        for graph in (adj, (adj > 0).astype(float)):
+            if graph.sum() == 0:
+                continue
+            got, moved = _local_moves(graph, graph.sum())
+            want, want_moved = oracles.reference_local_moves(graph, graph.sum())
+            assert np.array_equal(got, want) and moved == want_moved, (n, p)
 
 
 def test_louvain_passes_never_lose_modularity():

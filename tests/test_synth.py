@@ -212,3 +212,10 @@ def test_config_validation():
         SynthConfig(seed=-1)
     with pytest.raises(ValueError):
         SynthConfig(bar_minutes=0)
+    with pytest.raises(ValueError):
+        SynthConfig(targets_per_message=0)
+    with pytest.raises(ValueError):
+        SynthConfig(target_step=-0.5)
+    with pytest.raises(ValueError):
+        SynthConfig(mean_delay_hours=-1.0)
+    SynthConfig(target_step=0.0, mean_delay_hours=0.0)
