@@ -572,13 +572,8 @@ def _train(cfg: PipelineConfig) -> list[Path]:
     train_mats = [m for m in read_features_csv(train_path) if np.all(m.y >= 0)]
     if not train_mats:
         raise DataError("train: no fully labeled training graphs")
-    val_mats = []
-    val_path = cfg.out_dir / "features" / "val.csv"
-    if val_path.exists():
-        val_mats = [m for m in read_features_csv(val_path) if np.all(m.y >= 0)]
     train_graphs = _graph_data(train_mats, standardizer, graphs)
-    val_graphs = _graph_data(val_mats, standardizer, graphs)
-    params, history = train(cfg.model, train_graphs, val_graphs)
+    params, history = train(cfg.model, train_graphs)
     if not all(np.isfinite(r.train_loss) for r in history):
         raise NumericalError("train: loss diverged to a non-finite value")
     model_path = cfg.out_dir / "model.json"
@@ -698,6 +693,7 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         "sweep": sweep,
         "t_tests": t_tests,
         "flags": flags_summary,
+        "epochs_trained": len(epoch_seconds) if history_path.exists() else None,
         "timing": timing,
     }
     return [_write_json(cfg.out_dir / "report.json", report)]
@@ -775,7 +771,6 @@ STAGES: dict[str, Stage] = {
         "train the spreader classifier",
         _train,
         reads=(lambda cfg, o: [_features_path(cfg, "train")], STANDARDIZATION, *GRAPHS),
-        reads_if_present=("features/val.csv",),
         # The whole model config is saved into model.json.
         keys=("model",),
     ),

@@ -2,14 +2,12 @@
 
 A model is a stack of identical message-passing layers narrowing to one
 output channel, squashed by a sigmoid into a per-node mastermind
-probability. Training runs full-batch per graph with Adam, tracks
-validation F1 every epoch and returns the parameters from the best
-validation epoch.
+probability. Training runs full-batch per graph with Adam for a fixed
+budget of `epochs` epochs and ships the final epoch's parameters.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass, asdict
@@ -18,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..evaluation import f1_score
 from .layers import (
     Adam,
     bce_grad_wrt_logits,
@@ -161,28 +158,21 @@ def graph_loss(params, config, graph: GraphData) -> float:
 class EpochRecord:
     epoch: int
     train_loss: float
-    val_loss: float
-    val_f1: float
     epoch_seconds: float
 
 
 def train(
-    config: ModelConfig,
-    train_graphs: Sequence[GraphData],
-    val_graphs: Sequence[GraphData] = (),
+    config: ModelConfig, train_graphs: Sequence[GraphData]
 ) -> tuple[list[dict[str, np.ndarray]], list[EpochRecord]]:
-    """Train on the given graphs, one Adam step per graph per epoch.
+    """Train on the given graphs, one Adam step per graph per epoch, for
+    `config.epochs` epochs, and return the final epoch's parameters.
 
     Graphs are visited in the order given (sort upstream for determinism).
-    Checkpoint selection: highest validation F1 at threshold 0.5, earliest
-    epoch on ties; without validation graphs the final epoch wins.
     """
     if not train_graphs:
         raise ValueError("no training graphs")
     params = init_params(config, train_graphs[0].x.shape[1])
     optimizer = Adam(config.learning_rate)
-    best = copy.deepcopy(params)
-    best_f1 = -1.0
     history: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -191,29 +181,10 @@ def train(
             loss, grads = loss_and_grads(params, config, graph)
             optimizer.step(params, grads)
             losses.append(loss)
-        if val_graphs:
-            val_probs = [forward(params, config, g) for g in val_graphs]
-            val_loss = float(
-                np.mean([bce_loss(p, g.y.astype(float)) for p, g in zip(val_probs, val_graphs)])
-            )
-            y_true = np.concatenate([g.y for g in val_graphs])
-            y_pred = np.concatenate([(p >= 0.5).astype(int) for p in val_probs])
-            val_f1 = f1_score(y_true, y_pred)
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best = copy.deepcopy(params)
-        else:
-            val_loss, val_f1 = 0.0, 0.0
-            best = params
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=float(np.mean(losses)),
-            val_loss=val_loss,
-            val_f1=val_f1,
-            epoch_seconds=time.perf_counter() - started,
+        history.append(
+            EpochRecord(epoch, float(np.mean(losses)), time.perf_counter() - started)
         )
-        history.append(record)
-    return copy.deepcopy(best), history
+    return params, history
 
 
 def predict(
@@ -254,11 +225,9 @@ def vector_to_params(
 
 def write_history_csv(path: Path | str, history: Sequence[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss,val_f1,epoch_seconds\n")
+        fh.write("epoch,train_loss,epoch_seconds\n")
         for r in history:
-            fh.write(
-                f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.val_f1!r},{r.epoch_seconds!r}\n"
-            )
+            fh.write(f"{r.epoch},{r.train_loss!r},{r.epoch_seconds!r}\n")
 
 
 def save_params(
@@ -283,8 +252,17 @@ def load_params(path: Path | str) -> tuple[list[dict[str, np.ndarray]], ModelCon
     if obj.get("format_version") != PARAMS_FORMAT_VERSION:
         raise ValueError(f"unsupported parameter format {obj.get('format_version')}")
     config = ModelConfig(**obj["config"])
+    in_dim = int(obj["in_dim"])
     params = [
         {name: np.array(value, dtype=float) for name, value in layer.items()}
         for layer in obj["layers"]
     ]
-    return params, config, int(obj["in_dim"])
+    expected = init_params(config, in_dim)
+    if len(params) != len(expected):
+        raise ValueError(f"{len(params)} layers where the config has {len(expected)}")
+    for i, (layer, want) in enumerate(zip(params, expected)):
+        got = {name: arr.shape for name, arr in layer.items()}
+        need = {name: arr.shape for name, arr in want.items()}
+        if got != need:
+            raise ValueError(f"layer {i} has parameters {got} where the config needs {need}")
+    return params, config, in_dim

@@ -303,7 +303,7 @@ def test_04_synthetic_classification_quality(synthetic_split):
     results = {}
     for variant in ("weighted", "directed"):
         config = ModelConfig(graph_variant=variant)
-        params, _ = train(config, train_graphs, val_graphs)
+        params, _ = train(config, train_graphs)
 
         val_probs, val_y = [], []
         for gd in val_graphs:

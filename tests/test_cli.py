@@ -128,6 +128,23 @@ def test_gat_directed_run_matches_golden(pipeline, tmp_path):
     assert_matches_golden(out, "synth_default_gat")
 
 
+@pytest.mark.parametrize("synth_seed", [0, 1, 2])
+def test_shipped_model_ranks_its_training_masterminds_first(tmp_path, synth_seed):
+    """A model that learned anything separates the graphs it was trained on;
+    a checkpoint frozen near initialisation ranks masterminds below chance."""
+    out = tmp_path / "out"
+    for args in (
+        ("synth", "--synth-seed", str(synth_seed)),
+        ("all",),
+        ("infer", "--split", "train"),
+        ("evaluate", "--split", "train"),
+    ):
+        done = run_cli(*args, "--out", str(out))
+        assert done.returncode == 0, f"{args}: {done.stderr}"
+    report = json.loads((out / "report.json").read_text())
+    assert report["auc"] >= 0.9, report["auc"]
+
+
 def test_all_leaves_every_artifact(pipeline):
     for name in (
         "messages.jsonl",
@@ -168,9 +185,11 @@ def test_report_covers_the_required_keys(pipeline):
         "sweep",
         "t_tests",
         "flags",
+        "epochs_trained",
         "timing",
     }
     assert report["split"] == "test"
+    assert report["epochs_trained"] == 100
     assert set(report["metrics_at_default"]) == {
         "precision",
         "recall",
@@ -262,6 +281,19 @@ def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):
 def test_epochs_edit_reruns_train_onwards(settled, tmp_path):
     config = write_config(tmp_path / "epochs.json", model={"epochs": 20})
     assert stages_run(settled, "--config", config) == ["train", "infer", "evaluate"]
+
+
+def test_val_features_are_not_a_training_input(settled):
+    model = (settled / "model.json").read_bytes()
+    with open(settled / "features" / "val.csv", "ab") as fh:
+        fh.write(b"x")
+    done = run_cli("train", "--out", str(settled), env=dict(os.environ, PERSEUS_LOG="INFO"))
+    assert done.returncode == 0, done.stderr
+    assert "train: inputs unchanged, skipping" in done.stderr, done.stderr
+    # val.csv is featurize's own output, so featurize restores it and nothing
+    # downstream re-runs.
+    assert stages_run(settled) == ["featurize"]
+    assert (settled / "model.json").read_bytes() == model
 
 
 def test_evaluate_closes_every_file_it_reads(settled):
@@ -426,8 +458,14 @@ def test_seed_is_a_flag_of_train_and_all_only(capsys):
         lambda obj: {**obj, "format_version": 2},
         lambda obj: {**obj, "config": {**obj["config"], "architecture": "mlp"}},
         lambda obj: [obj],
+        lambda obj: {**obj, "layers": obj["layers"][:1]},
+        lambda obj: {
+            **obj,
+            "layers": [{**obj["layers"][0], "weight": obj["layers"][0]["weight"][:-1]}]
+            + obj["layers"][1:],
+        },
     ],
-    ids=["format_version", "architecture", "not_an_object"],
+    ids=["format_version", "architecture", "not_an_object", "dropped_layer", "weight_shape"],
 )
 def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
     path = settled / "model.json"

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from perseus.gnn import (
     vector_to_params,
     write_history_csv,
 )
+from perseus.gnn import model as model_mod
 from perseus.gnn.layers import Adam, bce_loss
 
 
@@ -235,17 +237,26 @@ def test_training_reduces_loss_on_separable_data():
     np.testing.assert_array_equal(labels, graphs[0].y)
 
 
-def test_checkpoint_achieves_the_best_validation_f1():
-    graphs = separable_graphs(n_graphs=3, seed=4)
-    config = ModelConfig(learning_rate=0.05, epochs=60)
-    params, history = train(config, graphs[:2], graphs[2:])
-    best = max(r.val_f1 for r in history)
-    assert best > 0
-    y_pred, _ = predict(params, config, graphs[2], threshold=0.5)
-    from perseus.evaluation import confusion_from, metrics
+def test_train_returns_the_final_epoch(monkeypatch):
+    """Training for e epochs, then one more Adam step per graph with the same
+    optimizer, gives exactly the parameters of training for e + 1 epochs."""
+    optimizers = []
 
-    scored = metrics(confusion_from(graphs[2].y.tolist(), y_pred.tolist()))
-    assert scored["f1"] == pytest.approx(best, abs=1e-12)
+    class KeptAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(model_mod, "Adam", KeptAdam)
+    graphs = separable_graphs(n_graphs=3, seed=4)
+    epochs = 7
+    config = ModelConfig(learning_rate=0.05, epochs=epochs)
+    params, history = train(config, graphs)
+    assert len(history) == epochs
+    for graph in graphs:
+        optimizers[0].step(params, loss_and_grads(params, config, graph)[1])
+    longer, _ = train(replace(config, epochs=epochs + 1), graphs)
+    np.testing.assert_array_equal(params_to_vector(params), params_to_vector(longer))
 
 
 def test_zero_learning_rate_changes_nothing():
@@ -322,7 +333,7 @@ def test_history_csv_has_one_row_per_epoch(tmp_path):
     path = tmp_path / "history.csv"
     write_history_csv(path, history)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,val_f1,epoch_seconds"
+    assert lines[0] == "epoch,train_loss,epoch_seconds"
     assert len(lines) == 5
     assert float(lines[1].split(",")[1]) == history[0].train_loss
 
