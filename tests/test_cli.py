@@ -76,7 +76,8 @@ def read_feature_rows(path):
 def assert_matches_golden(out, name):
     """Compare out/predictions.jsonl, out/report.json (minus `timing`),
     every pinned out/features/*.csv and, where pinned, the Louvain output
-    out/features/communities.json with the copies in tests/golden/<name>/.
+    out/features/communities.json and the graph files out/graphs/ with the
+    copies in tests/golden/<name>/.
 
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
@@ -89,6 +90,16 @@ def assert_matches_golden(out, name):
         python -c "$STRIP" OUT/report.json > tests/golden/<name>/report.json
         cp OUT/features/{train,val,test}.csv tests/golden/synth_default/features/
         cp OUT/features/communities.json tests/golden/synth_default/features/
+        rm -r tests/golden/synth_default/graphs
+        cp -r OUT/graphs tests/golden/synth_default/
+
+    The quotient graphs (`synth_default_quotient`, graphs only) come from the
+    `synth_default` OUT, then, with Q a config file holding
+    {"aggregation": "paper_literal_quotient"}:
+
+        perseus graphs --out OUT --config Q
+        rm -r tests/golden/synth_default_quotient/graphs
+        cp -r OUT/graphs tests/golden/synth_default_quotient/
 
     where STRIP is this Python, which drops the machine-dependent `timing`:
 
@@ -114,10 +125,32 @@ def assert_matches_golden(out, name):
     if pinned.exists():
         got = json.loads((out / "features" / "communities.json").read_text())
         assert_close(got, json.loads(pinned.read_text()), f"{name}/features/communities.json")
+    if (golden / "graphs").exists():
+        assert_graphs_match_golden(out, name)
+
+
+def assert_graphs_match_golden(out, name):
+    """Every file under out/graphs/ equals its copy in tests/golden/<name>/graphs/,
+    byte for byte, and neither side has a file the other lacks."""
+    golden = GOLDEN / name / "graphs"
+    want = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+    got = sorted(p.relative_to(out / "graphs") for p in (out / "graphs").rglob("*") if p.is_file())
+    assert got == want
+    for rel in want:
+        assert (out / "graphs" / rel).read_bytes() == (golden / rel).read_bytes(), str(rel)
 
 
 def test_default_run_matches_golden(pipeline):
     assert_matches_golden(pipeline, "synth_default")
+
+
+def test_quotient_graphs_match_golden(pipeline, tmp_path):
+    out = tmp_path / "quotient"
+    shutil.copytree(pipeline, out)
+    config = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
+    done = run_cli("graphs", "--out", str(out), "--config", config)
+    assert done.returncode == 0, done.stderr
+    assert_graphs_match_golden(out, "synth_default_quotient")
 
 
 def test_gat_directed_run_matches_golden(pipeline, tmp_path):
