@@ -462,19 +462,29 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
     return written
 
 
-def _load_graphs(cfg: PipelineConfig) -> dict[str, diffusion.DiffusionGraph]:
+def _load_graphs(cfg: PipelineConfig, stage: str) -> dict[str, diffusion.DiffusionGraph]:
     root = cfg.out_dir / "graphs"
     index = json.loads((root / "index.json").read_text(encoding="utf-8"))
     graphs = {}
     for entry in index["graphs"]:
-        graph = diffusion.load_graph(root / entry["period"], entry["coin"], entry["period"])
+        try:
+            graph = diffusion.load_graph(root / entry["period"], entry["coin"], entry["period"])
+        except ValueError as exc:
+            raise DataError(f"{stage}: {exc}") from exc
         graphs[graph.graph_id] = graph
     return graphs
 
 
+def _read_features(cfg: PipelineConfig, split: str, stage: str) -> list[FeatureMatrix]:
+    try:
+        return read_features_csv(_features_path(cfg, split))
+    except ValueError as exc:
+        raise DataError(f"{stage}: {exc}") from exc
+
+
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg)
-    graphs = _load_graphs(cfg)
+    graphs = _load_graphs(cfg, "featurize")
     written: list[Path] = []
 
     series_by_coin: dict[str, market.PriceSeries] = {}
@@ -567,9 +577,8 @@ def _graph_data(
 def _train(cfg: PipelineConfig) -> list[Path]:
     std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
     standardizer = Standardizer.from_json(std_text)
-    graphs = _load_graphs(cfg)
-    train_path = _features_path(cfg, "train")
-    train_mats = [m for m in read_features_csv(train_path) if np.all(m.y >= 0)]
+    graphs = _load_graphs(cfg, "train")
+    train_mats = [m for m in _read_features(cfg, "train", "train") if np.all(m.y >= 0)]
     if not train_mats:
         raise DataError("train: no fully labeled training graphs")
     train_graphs = _graph_data(train_mats, standardizer, graphs)
@@ -591,8 +600,8 @@ def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
         raise DataError(f"infer: {model_path}: {exc}") from exc
     std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
     standardizer = Standardizer.from_json(std_text)
-    graphs = _load_graphs(cfg)
-    mats = read_features_csv(_features_path(cfg, split))
+    graphs = _load_graphs(cfg, "infer")
+    mats = _read_features(cfg, split, "infer")
     data = _graph_data(mats, standardizer, graphs)
     rows = []
     timings = []
@@ -625,7 +634,7 @@ def _print_detected(cfg: PipelineConfig) -> None:
 
 
 def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
-    mats = read_features_csv(_features_path(cfg, split))
+    mats = _read_features(cfg, split, "evaluate")
     label_by_node: dict[tuple[str, str], int] = {}
     rows_by_node: dict[tuple[str, str], np.ndarray] = {}
     for mat in mats:

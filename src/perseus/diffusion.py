@@ -1,20 +1,29 @@
 """Diffusion-network inference from event participation order.
 
-Each event orders its spreaders by announcement time; earlier spreaders are
+Each event orders its k spreaders by announcement time, ranks l = 1..k (the
+segmentation already broke time ties by entity id). Earlier spreaders are
 treated as likelier sources for later ones, with adjacency in the ranking
-counting for more than distance. Per-event pair strengths are row-normalized,
-summed across events, weighted by how consistently two spreaders co-occur
-(Jaccard over event participation), and finally normalized into [0, 1]. A
+counting for more than distance:
+
+    h_rs = 1 / (l_s (l_s - l_r))  for l_r < l_s, else 0
+    lambda_rs = h_rs / sum_t h_rt  (the last-ranked row stays all zero)
+
+With P the spreader x event 0/1 incidence matrix, I = P P^T and d = diag(I),
+the co-occurrence weight is the Jaccard ratio theta = I / (d_r + d_s - I),
+with a zero diagonal. The graph is W = theta * sum_events lambda (or, read
+literally, theta / sum_events lambda), divided by its peak into [0, 1]. A
 binary orientation keeps r -> s only where the weight beats its reverse.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +41,6 @@ class GraphTooSmall(Exception):
         self.coin = coin
         self.n = n
         super().__init__(f"{coin}: only {n} spreaders, need at least {MIN_SPREADERS}")
-
-
-@dataclass(frozen=True)
-class RankingVector:
-    """1-based announcement-order ranks for one event's spreaders."""
-
-    event_id: int
-    ranks: Mapping[str, int]
 
 
 @dataclass
@@ -60,54 +61,18 @@ class DiffusionGraph:
         return f"{self.period}/{self.cryptocurrency}"
 
 
-def ranking_vector(event: CrowdPumpEvent) -> RankingVector:
-    """Ranks in announcement order; the segmentation already broke time ties
-    by entity id, so the order of event.messages is authoritative."""
-    return RankingVector(
-        event_id=event.event_id,
-        ranks={m.entity_id: i for i, m in enumerate(event.messages, start=1)},
-    )
-
-
-def pair_strength(ranking: RankingVector, r: str, s: str) -> float:
-    """h, the per-event source likelihood of r for s: 1 / (l_s * (l_s - l_r))
-    when r precedes s, else 0."""
-    if r == s:
-        raise ValueError("pair_strength needs two distinct spreaders")
-    lr = ranking.ranks[r]
-    ls = ranking.ranks[s]
-    if lr >= ls:
-        return 0.0
-    return 1.0 / (ls * (ls - lr))
-
-
-def lambda_weights(event: CrowdPumpEvent) -> dict[tuple[str, str], float]:
-    """Row-normalized pair strengths for one event.
-
-    Rows sum to 1 except for the last-ranked spreader, whose row is all
-    zero (nobody follows it).
-    """
-    ranking = ranking_vector(event)
-    spreaders = list(ranking.ranks)
-    out: dict[tuple[str, str], float] = {}
-    for r in spreaders:
-        row = {s: pair_strength(ranking, r, s) for s in spreaders if s != r}
-        total = sum(row.values())
-        if total > 0:
-            for s, h in row.items():
-                out[(r, s)] = h / total
-        else:
-            for s in row:
-                out[(r, s)] = 0.0
-    return out
-
-
-def jaccard_theta(participation: Mapping[str, frozenset[int]], r: str, s: str) -> float:
-    a, b = participation[r], participation[s]
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+@lru_cache(maxsize=None)
+def lambda_matrix(k: int) -> np.ndarray:
+    """Read-only (k, k) lambda of an event with k spreaders, rows and columns
+    in announcement order. Row totals are in-order sums, so each entry is
+    the same float a left-to-right loop over the row gives."""
+    ranks = np.arange(1, k + 1)
+    gap = ranks[None, :] - ranks[:, None]
+    h = np.divide(1.0, ranks[None, :] * gap, out=np.zeros((k, k)), where=gap > 0)
+    total = np.cumsum(h, axis=1)[:, -1:]
+    lam = np.divide(h, total, out=np.zeros((k, k)), where=total > 0)
+    lam.flags.writeable = False
+    return lam
 
 
 def infer_weighted(
@@ -132,15 +97,16 @@ def infer_weighted(
     frozen = {entity: frozenset(ids) for entity, ids in participation.items()}
 
     lam_sum = np.zeros((len(nodes), len(nodes)))
-    for event in events:
-        for (r, s), lam in lambda_weights(event).items():
-            lam_sum[index[r], index[s]] += lam
-
-    theta = np.zeros_like(lam_sum)
-    for r in nodes:
-        for s in nodes:
-            if r != s:
-                theta[index[r], index[s]] = jaccard_theta(frozen, r, s)
+    incidence = np.zeros((len(nodes), len(events)))
+    for j, event in enumerate(events):
+        idx = [index[entity] for entity in event.spreaders]
+        if len(idx) > 1:
+            lam_sum[np.ix_(idx, idx)] += lambda_matrix(len(idx))
+        incidence[idx, j] = 1.0
+    shared = incidence @ incidence.T
+    d = np.diag(shared)
+    theta = shared / (d[:, None] + d[None, :] - shared)
+    np.fill_diagonal(theta, 0.0)
 
     if mode == AGG_PRODUCT:
         raw = theta * lam_sum
@@ -222,25 +188,37 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
 
 
 def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
+    """Read the files save_graph wrote; a malformed line (wrong field count,
+    unknown entity, non-finite weight) raises ValueError naming it."""
     directory = Path(directory)
     nodes: list[str] = []
-    with open(directory / f"{coin}.nodes.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            _, entity = line.rstrip("\n").split("\t")
-            nodes.append(entity)
-    index = {entity: i for i, entity in enumerate(nodes)}
-    weighted = np.zeros((len(nodes), len(nodes)))
-    with open(directory / f"{coin}.weighted.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            src, dst, w = line.rstrip("\n").split("\t")
-            weighted[index[src], index[dst]] = float(w)
-    directed = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
-    with open(directory / f"{coin}.directed.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            src, dst = line.rstrip("\n").split("\t")
-            directed[index[src], index[dst]] = 1
+    path, number = directory / f"{coin}.nodes.tsv", 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                _, entity = line.rstrip("\n").split("\t")
+                nodes.append(entity)
+        index = {entity: i for i, entity in enumerate(nodes)}
+        weighted = np.zeros((len(nodes), len(nodes)))
+        path = directory / f"{coin}.weighted.tsv"
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                src, dst, w = line.rstrip("\n").split("\t")
+                weighted[index[src], index[dst]] = weight = float(w)
+                if not math.isfinite(weight):
+                    raise ValueError(f"weight {w!r} is not a finite number")
+        directed = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
+        path = directory / f"{coin}.directed.tsv"
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                src, dst = line.rstrip("\n").split("\t")
+                directed[index[src], index[dst]] = 1
+    except KeyError as exc:
+        raise ValueError(f"{path}:{number}: unknown entity {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{number}: {exc}") from None
     loaded = json.loads((directory / f"{coin}.events.json").read_text(encoding="utf-8"))
     participation = {entity: frozenset(ids) for entity, ids in loaded.items()}
     return DiffusionGraph(

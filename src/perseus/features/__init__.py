@@ -211,15 +211,21 @@ def read_features_csv(path: Path | str) -> list[FeatureMatrix]:
     order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["entity_id", "label", "graph_id"] or tuple(header[3:]) != FEATURE_COLUMNS:
             raise ValueError(f"{path}: unexpected feature CSV header")
         for row in reader:
-            entity, label, graph_id = row[0], int(row[1]), row[2]
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                entity, label, graph_id = row[0], int(row[1]), row[2]
+                values = [float(v) for v in row[3:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             if graph_id not in grouped:
                 grouped[graph_id] = []
                 order.append(graph_id)
-            grouped[graph_id].append((entity, label, [float(v) for v in row[3:]]))
+            grouped[graph_id].append((entity, label, values))
     out = []
     for graph_id in order:
         rows = grouped[graph_id]

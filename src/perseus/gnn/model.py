@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,24 +72,31 @@ class GraphData:
     y: np.ndarray
     weighted: np.ndarray
     directed: np.ndarray
+    _inbound: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def inbound(self, variant: str) -> np.ndarray:
-        """(n, n) 0/1 mask for the requested variant: row i marks the nodes
-        that feed i, and the diagonal is 1, so every node also sees itself.
+        """Read-only (n, n) 0/1 mask for the requested variant, built on the
+        first call: row i marks the nodes that feed i, and the diagonal is 1,
+        so every node also sees itself.
 
         Directed keeps only the arrows that survived the pairwise duel;
         weighted keeps every influence arrow with a nonzero weight, so a node
         aggregates all of its candidate influencers, not just the duel winners.
         """
-        if variant == VARIANT_DIRECTED:
-            adj = self.directed > 0
-        elif variant == VARIANT_WEIGHTED:
-            adj = self.weighted > 0
-        else:
-            raise ValueError(f"unknown graph variant {variant!r}")
-        mask = adj.T.astype(float)
-        np.fill_diagonal(mask, 1.0)
-        return mask
+        if variant not in self._inbound:
+            if variant == VARIANT_DIRECTED:
+                adj = self.directed > 0
+            elif variant == VARIANT_WEIGHTED:
+                adj = self.weighted > 0
+            else:
+                raise ValueError(f"unknown graph variant {variant!r}")
+            mask = adj.T.astype(float)
+            np.fill_diagonal(mask, 1.0)
+            mask.flags.writeable = False
+            self._inbound[variant] = mask
+        return self._inbound[variant]
 
     @property
     def n_nodes(self) -> int:

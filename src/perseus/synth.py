@@ -468,15 +468,10 @@ def score_edge_recovery(
     if not true_edges:
         raise ValueError("no ground-truth edges among the graph's nodes")
     candidates = weighted if directed is None else np.where(directed > 0, weighted, 0.0)
-    order = []
-    n = len(nodes)
-    for r in range(n):
-        for s in range(n):
-            if r != s and candidates[r, s] > 0.0:
-                order.append((-float(candidates[r, s]), nodes[r], nodes[s]))
-    order.sort()
-    top = order[: len(true_edges)]
-    hits = sum(1 for _, src, dst in top if (src, dst) in true_edges)
+    src, dst = np.nonzero((candidates > 0.0) & ~np.eye(len(nodes), dtype=bool))
+    names = np.array(nodes)
+    order = np.lexsort((names[dst], names[src], -candidates[src, dst]))[: len(true_edges)]
+    hits = sum((nodes[src[i]], nodes[dst[i]]) in true_edges for i in order)
     return hits / len(true_edges)
 
 

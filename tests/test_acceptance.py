@@ -18,15 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
 
-from perseus.diffusion import (
-    build_graphs,
-    derive_directed,
-    infer_weighted,
-    jaccard_theta,
-    lambda_weights,
-    pair_strength,
-    ranking_vector,
-)
+from perseus.diffusion import build_graphs, derive_directed, infer_weighted, lambda_matrix
 from perseus.evaluation import (
     METRIC_NAMES,
     best_threshold,
@@ -200,19 +192,33 @@ def test_01_network_inference_matches_brute_force():
             aligned = False
             break
         for event, h_ref, lam_ref in zip(events, ref["h"], ref["lam"]):
-            ranking = ranking_vector(event)
-            for (r, s), val in h_ref.items():
-                errs["h"] = max(errs["h"], abs(pair_strength(ranking, r, s) - float(val)))
-            lam = lambda_weights(event)
-            aligned &= set(lam) == set(lam_ref)
-            for key, val in lam_ref.items():
-                errs["lambda"] = max(errs["lambda"], abs(lam.get(key, 0.0) - float(val)))
+            # lambda_matrix rows and columns follow announcement order
+            rank = {e: i for i, e in enumerate(event.spreaders)}
+            lam = lambda_matrix(len(rank))
+            aligned &= {(r, s) for r in rank for s in rank if r != s} == set(lam_ref)
+            for (r, s), val in lam_ref.items():
+                errs["lambda"] = max(errs["lambda"], abs(lam[rank[r], rank[s]] - float(val)))
+            # lambda is h over its row total, so the oracle's row total
+            # scales lambda back to h
+            for r in rank:
+                total = sum(v for (rr, _), v in h_ref.items() if rr == r)
+                for s in rank:
+                    if s != r:
+                        err = abs(lam[rank[r], rank[s]] * float(total) - float(h_ref[(r, s)]))
+                        errs["h"] = max(errs["h"], err)
 
         nodes, w, participation = infer_weighted(events)
         aligned &= nodes == ref["nodes"]
-        for (r, s), val in ref["theta"].items():
-            errs["theta"] = max(errs["theta"], abs(jaccard_theta(participation, r, s) - float(val)))
+        # theta as infer_weighted forms it: I / (d_r + d_s - I), with I = P P^T
+        # over the spreader x event incidence of the participation it returns
+        event_ids = sorted({i for ids in participation.values() for i in ids})
+        incidence = np.array([[i in participation[n] for i in event_ids] for n in nodes], float)
+        shared = incidence @ incidence.T
+        d = np.diag(shared)
+        theta = shared / (d[:, None] + d[None, :] - shared)
         idx = {n: i for i, n in enumerate(nodes)}
+        for (r, s), val in ref["theta"].items():
+            errs["theta"] = max(errs["theta"], abs(theta[idx[r], idx[s]] - float(val)))
         for (r, s), val in ref["w"].items():
             errs["w"] = max(errs["w"], abs(w[idx[r], idx[s]] - float(val)))
         star = derive_directed(w)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
+from perseus.features import FEATURE_COLUMNS
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -301,6 +302,38 @@ def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     assert main(["all", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert "data error: featurize:" in err and path.name in err
+
+
+def test_bad_graph_file_fails_with_exit_3(settled, capsys):
+    index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
+    path = settled / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
+    line = len(path.read_text().splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("ghost\tnobody\t0.5\n")
+    assert main(["featurize", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: featurize: {path}:{line}: unknown entity 'ghost'" in err
+
+
+@pytest.mark.parametrize(
+    "stage, row",
+    [
+        ("infer", "x"),
+        ("evaluate", "x"),
+        ("train", "a,one,train/COIN00"),
+        ("train", "a,0,train/COIN00" + ",heavy" * len(FEATURE_COLUMNS)),
+    ],
+    ids=["infer_short_row", "evaluate_short_row", "train_short_row", "train_bad_cell"],
+)
+def test_bad_features_file_fails_with_exit_3(settled, capsys, stage, row):
+    split = "train" if stage == "train" else "val"
+    path = settled / "features" / f"{split}.csv"
+    line = len(path.read_text().splitlines()) + 1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    argv = [stage, "--out", str(settled)] + ([] if stage == "train" else ["--split", split])
+    assert main(argv) == 3
+    assert f"data error: {stage}: {path}:{line}: " in capsys.readouterr().err
 
 
 def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):

@@ -1,4 +1,4 @@
-"""Cascade-based network inference: ranks, pair strengths, W and W*."""
+"""Cascade-based network inference: lambda blocks, theta, W and W*."""
 
 import sys
 from datetime import datetime, timedelta, timezone
@@ -13,22 +13,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
 
 from perseus.diffusion import (
+    AGG_PRODUCT,
     AGG_QUOTIENT,
     GraphTooSmall,
-    RankingVector,
     build_graph,
     build_graphs,
     derive_directed,
     infer_weighted,
-    jaccard_theta,
-    lambda_weights,
+    lambda_matrix,
     load_graph,
-    pair_strength,
-    ranking_vector,
     save_graph,
 )
 from perseus.events import ObservationPeriod, build_event_sets
 from perseus.ingest import CrowdPumpMessage, TradeDirection
+from perseus.synth import SynthConfig, generate_corpus
 
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -70,53 +68,57 @@ CANONICAL = [
 ]
 
 
-def test_pair_strength_formula():
-    l2 = RankingVector(event_id=0, ranks={"a": 1, "b": 2})
-    assert pair_strength(l2, "a", "b") == pytest.approx(0.5)
-    l3 = RankingVector(event_id=0, ranks={"a": 1, "b": 2, "c": 3})
-    assert pair_strength(l3, "a", "c") == pytest.approx(1 / 6)
-    assert pair_strength(l3, "b", "a") == 0.0
-    with pytest.raises(ValueError):
-        pair_strength(l3, "a", "a")
+def test_lambda_rows_follow_the_pair_strength_formula():
+    # h_rs = 1 / (l_s (l_s - l_r)) where r precedes s: row 1 of a three-rank
+    # event holds h = 1/2 and 1/6, so lambda = 3/4 and 1/4
+    lam = lambda_matrix(3)
+    assert lam[0, 2] / lam[0, 1] == pytest.approx((1 / 6) / (1 / 2))
+    assert lambda_matrix(2)[0, 1] == 1.0
+    # nobody is a source for an earlier spreader, or for itself
+    assert np.all(np.tril(lambda_matrix(6)) == 0.0)
 
 
-def test_ranking_vector_orders_by_announcement():
-    events = events_from([[("a", 0), ("b", 1), ("c", 2)], [("z", 300)]])
-    ranks = ranking_vector(events[0]).ranks
-    assert ranks == {"a": 1, "b": 2, "c": 3}
-    single = ranking_vector(events[1]).ranks
-    assert single == {"z": 1}
+def test_event_spreaders_are_in_announcement_order():
+    events = events_from([[("b", 0), ("c", 1), ("a", 2)], [("z", 300)]])
+    assert events[0].spreaders == ("b", "c", "a")
+    assert events[1].spreaders == ("z",)
 
 
 def test_lambda_three_chain():
-    events = events_from([[("a", 0), ("b", 1), ("c", 2)]])
-    lam = lambda_weights(events[0])
-    assert lam[("a", "b")] == pytest.approx(0.75)
-    assert lam[("a", "c")] == pytest.approx(0.25)
-    assert lam[("b", "c")] == pytest.approx(1.0)
-    # the last-ranked spreader has nobody to influence
-    assert lam[("c", "a")] == 0.0
-    assert lam[("c", "b")] == 0.0
+    np.testing.assert_array_equal(
+        lambda_matrix(3), [[0.0, 0.75, 0.25], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    )
 
 
 def test_lambda_rows_partition_or_vanish():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        k = int(rng.integers(2, 7))
-        cascade = [(f"s{i}", float(i)) for i in range(k)]
-        events = events_from([cascade])
-        lam = lambda_weights(events[0])
-        spreaders = {r for r, _ in lam}
-        for r in spreaders:
-            row = sum(v for (rr, _), v in lam.items() if rr == r)
-            assert row == pytest.approx(1.0, abs=1e-12) or row == 0.0
+    for k in range(1, 12):
+        rows = lambda_matrix(k).sum(axis=1)
+        np.testing.assert_allclose(rows[:-1], 1.0, atol=1e-12)
+        # the last-ranked spreader has nobody to influence
+        assert rows[-1] == 0.0
 
 
-def test_jaccard_theta():
-    part = {"a": frozenset({1, 2}), "b": frozenset({1}), "c": frozenset({3})}
-    assert jaccard_theta(part, "a", "b") == pytest.approx(0.5)
-    assert jaccard_theta(part, "a", "a") == pytest.approx(1.0)
-    assert jaccard_theta(part, "a", "c") == 0.0
+def test_lambda_matrix_is_cached_and_read_only():
+    lam = lambda_matrix(5)
+    assert lambda_matrix(5) is lam
+    with pytest.raises(ValueError):
+        lam[0, 1] = 0.0
+
+
+def test_theta_is_the_jaccard_ratio_of_event_sets():
+    # a is in events {0, 1} and b in {0}, so theta_ab = 1/2 and lambda_ab = 1;
+    # c -> d has theta = lambda = 1 and sets the peak
+    nodes, w, participation = infer_weighted(
+        events_from([[("a", 0), ("b", 1)], [("a", 200)], [("c", 400), ("d", 401)]])
+    )
+    assert participation == {
+        "a": frozenset({0, 1}), "b": frozenset({0}), "c": frozenset({2}), "d": frozenset({2})
+    }
+    idx = {n: i for i, n in enumerate(nodes)}
+    assert w[idx["a"], idx["b"]] == 0.5
+    assert w[idx["c"], idx["d"]] == 1.0
+    # disjoint event sets: theta = 0, whatever lambda says
+    assert w[idx["a"], idx["c"]] == 0.0 and w[idx["b"], idx["d"]] == 0.0
 
 
 def test_canonical_fixture_weights():
@@ -249,3 +251,82 @@ def test_graph_files_round_trip(tmp_path):
     assert np.allclose(again.weighted, graph.weighted, atol=5e-10)
     assert np.array_equal(again.directed, graph.directed)
     assert again.event_participation == graph.event_participation
+
+
+def assert_same_inference(events, mode):
+    nodes, w, participation = infer_weighted(events, mode=mode)
+    ref_nodes, ref_w, ref_participation = oracles.reference_infer_weighted(events, mode=mode)
+    assert nodes == ref_nodes
+    assert np.array_equal(w, ref_w)
+    assert participation == ref_participation
+
+
+def test_bit_identical_to_the_pair_loops_on_tie_heavy_schedules():
+    """Announcement times fall on whole hours, so many spreaders tie and
+    are ranked by entity id, and some cascades repeat verbatim, so many
+    weights tie too."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 150:
+        n_spreaders = int(rng.integers(4, 41))
+        names = [f"s{i:02d}" for i in range(n_spreaders)]
+        schedule = []
+        for c in range(int(rng.integers(1, 13))):
+            if schedule and rng.random() < 0.3:
+                members = [m for m, _ in schedule[int(rng.integers(len(schedule)))]]
+            else:
+                members = rng.choice(names, size=int(rng.integers(1, n_spreaders + 1)), replace=False)
+            hours = np.sort(rng.integers(0, 3, size=len(members)))
+            schedule.append([(str(m), 500.0 * c + float(h)) for m, h in zip(members, hours)])
+        if len({m for cascade in schedule for m, _ in cascade}) < 4:
+            continue
+        events = events_from(schedule)
+        for mode in (AGG_PRODUCT, AGG_QUOTIENT):
+            assert_same_inference(events, mode)
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(seed=0),
+        # the msg_dense, price_long and graph_wide bench shapes
+        SynthConfig(n_spreaders=60, n_masterminds=3, n_events=90, n_coins=6),
+        SynthConfig(n_spreaders=12, n_masterminds=3, n_events=150, n_coins=6, forward_prob=0.1),
+        SynthConfig(n_spreaders=90, n_masterminds=3, n_events=24, n_coins=3),
+    ],
+    ids=["default", "msg_dense", "price_long", "graph_wide"],
+)
+def test_bit_identical_to_the_pair_loops_on_synthetic_corpora(config):
+    messages = generate_corpus(config, with_prices=False).messages
+    lo = min(m.source_datetime for m in messages)
+    hi = max(m.source_datetime for m in messages)
+    period = ObservationPeriod(lo, hi + timedelta(seconds=1), "all")
+    event_sets = build_event_sets(messages, [period])
+    assert event_sets
+    for events in event_sets.values():
+        if len({e for event in events for e in event.spreaders}) >= 4:
+            for mode in (AGG_PRODUCT, AGG_QUOTIENT):
+                assert_same_inference(events, mode)
+
+
+@pytest.mark.parametrize(
+    "table, line, problem",
+    [
+        ("weighted", "ghost\tnobody\t0.5", "unknown entity 'ghost'"),
+        ("weighted", "a\tb", r"not enough values to unpack \(expected 3, got 2\)"),
+        ("weighted", "a\tb\tnan", "weight 'nan' is not a finite number"),
+        ("weighted", "a\tb\theavy", "could not convert string to float: 'heavy'"),
+        ("directed", "a\tb\t1", r"too many values to unpack \(expected 2\)"),
+        ("directed", "a\tghost", "unknown entity 'ghost'"),
+        ("nodes", "4", r"not enough values to unpack \(expected 2, got 1\)"),
+    ],
+)
+def test_load_graph_names_the_malformed_line(tmp_path, table, line, problem):
+    save_graph(build_graph("SUI", "all", events_from(CANONICAL)), tmp_path)
+    path = tmp_path / f"SUI.{table}.tsv"
+    n_lines = len(path.read_text().splitlines())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=rf"SUI\.{table}\.tsv:{n_lines + 1}: {problem}"):
+        load_graph(tmp_path, "SUI", "all")

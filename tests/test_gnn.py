@@ -80,6 +80,16 @@ def test_weighted_variant_keeps_duel_losers():
         g.inbound("mixed")
 
 
+def test_inbound_mask_is_built_once_and_read_only():
+    g = random_graph(np.random.default_rng(3), n=6, in_dim=2)
+    for variant in ("weighted", "directed"):
+        mask = g.inbound(variant)
+        assert g.inbound(variant) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = 0.0
+
+
 def test_zero_parameters_predict_half():
     g = path_graph()
     for arch in (ARCH_GAT, ARCH_SAGE):

@@ -182,6 +182,28 @@ def test_edge_recovery_respects_the_directed_mask():
     assert score_edge_recovery(weighted, truth.nodes, truth, directed=directed) == 0.5
 
 
+def test_edge_recovery_matches_the_sorted_tuple_loop():
+    """Weights drawn from four levels, so most candidates tie on weight and
+    the (src, dst) names decide the ranking."""
+    rng = np.random.default_rng(8)
+    for _ in range(3000):
+        n = int(rng.integers(2, 11))
+        nodes = tuple(f"n{i}" for i in rng.permutation(n))
+        weighted = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n))
+        edges = [(nodes[r], nodes[s]) for r in range(n) for s in range(n) if r != s]
+        picked = rng.choice(len(edges), size=int(rng.integers(1, len(edges) + 1)), replace=False)
+        truth = GroundTruth(
+            nodes=nodes,
+            edges=tuple(edges[i] for i in picked),
+            labels=dict.fromkeys(nodes, 0),
+            communities=dict.fromkeys(nodes, 0),
+        )
+        directed = (weighted > weighted.T).astype(np.int8)
+        for mask in (None, directed):
+            want = oracles.reference_score_edge_recovery(weighted, nodes, truth, mask)
+            assert score_edge_recovery(weighted, nodes, truth, mask) == want
+
+
 def test_truth_and_labels_round_trip(tmp_path):
     truth = generate_network(SMALL)
     write_truth(tmp_path / "truth.json", truth)
