@@ -244,6 +244,49 @@ def test_rerun_is_a_no_op(pipeline):
     assert after == before
 
 
+GRAPH_FILES = [
+    f"graphs/{graph}.{table}"
+    for graph in ["test/COIN01", *(f"train/COIN0{i}" for i in range(6)), "val/COIN02"]
+    for table in ["directed.tsv", "events.json", "nodes.tsv", "weighted.tsv"]
+]
+PRICE_FILES = [f"data/prices/COIN0{i}USDT.csv" for i in range(6)]
+# Per stage of the default synth run: the hash of its settings and the files
+# in its cache key. The input hashes are left out, as history.csv and
+# inference_timing.json hold timings.
+CACHE_KEYS = {
+    "parse": ("44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+              ["data/corpus.jsonl"]),
+    "split": ("3fb7ff48bed2aafc187ce6b5257c10da89189c685809a0affe485d4a81631f3c",
+              ["messages.jsonl"]),
+    "events": ("91f9f54120b491eedbcf0654b05ebe4ef828dd014c2e7c252c103cf61eed8bc3",
+               ["messages.jsonl", "split_plan.json"]),
+    "flag": ("44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+             ["events.jsonl", "messages.jsonl"]),
+    "graphs": ("db7863992057180bdfa32cf5099f1fb69a9ee03e1c303ee8b690f7c07f07168a",
+               ["events.jsonl", "messages.jsonl"]),
+    "featurize": ("88e48b460e31ed6b5f60a89b7ea9f714c10a8f5a294980b487399ecf65a59c1a",
+                  ["data/labels.json", *PRICE_FILES, "events.jsonl", "graphs/index.json",
+                   *GRAPH_FILES, "messages.jsonl"]),
+    "train": ("6358d085d93f7721339dd527796d2cf804f43b39592a67c28179ab5d4c97aee8",
+              ["features/standardization.json", "features/train.csv", "graphs/index.json",
+               *GRAPH_FILES]),
+    "infer": ("0546ad4807dd30812b2b914c366d4a742513bceff7807756ebd3b9b1c99bae84",
+              ["features/standardization.json", "features/test.csv", "graphs/index.json",
+               *GRAPH_FILES, "model.json"]),
+    "evaluate": ("d1b446664d4095207ba1bd86a1806551f3670862d2b8c7146d8d9517790ed297",
+                 ["features/test.csv", "flags.jsonl", "history.csv", "inference_timing.json",
+                  "predictions.jsonl"]),
+}
+
+
+def test_cache_keys_match_the_pinned_ones(pipeline):
+    assert sorted(CACHE_KEYS) == sorted(STAGES)
+    for stage, (config_hash, inputs) in CACHE_KEYS.items():
+        manifest = json.loads((pipeline / "manifests" / f"{stage}.json").read_text())
+        assert manifest["config_hash"] == config_hash, stage
+        assert sorted(manifest["inputs"]) == inputs, stage
+
+
 @pytest.fixture
 def settled(pipeline, tmp_path):
     """A copy of the pipeline out dir; manifests name files relative to
