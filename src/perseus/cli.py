@@ -21,7 +21,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -49,6 +49,7 @@ from .gnn import (
     ModelConfig,
     load_params,
     predict,
+    read_history_csv,
     save_params,
     train,
     write_history_csv,
@@ -298,10 +299,14 @@ def _rerun_reason(
     return None
 
 
-def _write_json(path: Path, obj) -> Path:
+def _write_text(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_json(path: Path, obj) -> Path:
+    return _write_text(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +314,7 @@ def _write_json(path: Path, obj) -> Path:
 # function of (config, options) that lists paths.
 
 PathList = Callable[[PipelineConfig, dict], list[Path]]
-GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv", ".events.json")
 STANDARDIZATION = "features/standardization.json"
-
-
-def _graph_tables(cfg: PipelineConfig, opts: dict) -> list[Path]:
-    """graphs/<period>/<coin><table> for every graph in graphs/index.json."""
-    index_path = cfg.out_dir / "graphs" / "index.json"
-    if not index_path.exists():
-        return []
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    return [
-        index_path.parent / entry["period"] / f"{entry['coin']}{suffix}"
-        for entry in index["graphs"]
-        for suffix in GRAPH_TABLES
-    ]
 
 
 def _features_path(cfg: PipelineConfig, split: str) -> Path:
@@ -337,8 +328,8 @@ def _split_features(cfg: PipelineConfig, opts: dict) -> list[Path]:
     return [_features_path(cfg, opts["split"])]
 
 
-def _price_files(cfg: PipelineConfig, opts: dict) -> list[Path]:
-    return [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir)
+def _graph_files(cfg: PipelineConfig, opts: dict) -> list[Path]:
+    return diffusion.graph_files(cfg.out_dir / "graphs")
 
 
 def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
@@ -346,6 +337,24 @@ def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
     for item in reads:
         paths.extend([cfg.out_dir / item] if isinstance(item, str) else item(cfg, opts))
     return paths
+
+
+def _require_graphs_in(stage: str, cfg: PipelineConfig, split: str) -> None:
+    """A data error naming `split` when the graph index lists no graph in
+    its period (`all` after `events --single-period`)."""
+    root = cfg.out_dir / "graphs"
+    index = root / diffusion.INDEX
+    period = _features_path(cfg, split).stem
+    if index.exists() and period not in {p for p, _ in diffusion.graph_index(root)}:
+        raise DataError(f"{stage}: split {split!r} is empty: {index} lists no graph in it")
+
+
+def _read(stage: str, read: Callable, *args):
+    """read(*args), whose ValueError, naming the bad file, is a data error."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise DataError(f"{stage}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -370,28 +379,7 @@ def _split(cfg: PipelineConfig) -> list[Path]:
         plan = evaluation.chronological_split(messages, cfg.split_fractions)
     except SplitInfeasible as exc:
         raise DataError(f"split: {exc}")
-    payload = {
-        "cut1": plan.cut1.isoformat(),
-        "cut2": plan.cut2.isoformat(),
-        "fractions": list(plan.fractions),
-        "tokens": [list(t) for t in plan.tokens],
-        "dropped": [list(t) for t in plan.dropped],
-        "message_counts": list(plan.message_counts),
-    }
-    return [_write_json(cfg.out_dir / "split_plan.json", payload)]
-
-
-def _load_split_plan(cfg: PipelineConfig) -> evaluation.SplitPlan:
-    path = cfg.out_dir / "split_plan.json"
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    return evaluation.SplitPlan(
-        cut1=datetime.fromisoformat(obj["cut1"]),
-        cut2=datetime.fromisoformat(obj["cut2"]),
-        fractions=tuple(obj["fractions"]),
-        tokens=tuple(tuple(t) for t in obj["tokens"]),
-        dropped=tuple(tuple(t) for t in obj["dropped"]),
-        message_counts=tuple(obj["message_counts"]),
-    )
+    return [_write_text(cfg.out_dir / "split_plan.json", plan.to_json())]
 
 
 def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
@@ -403,7 +391,7 @@ def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
         periods = [events_mod.ObservationPeriod(start=t0, end=t1, label="all")]
         kept = messages
     else:
-        plan = _load_split_plan(cfg)
+        plan = evaluation.SplitPlan.from_json((cfg.out_dir / "split_plan.json").read_text(encoding="utf-8"))
         periods = [
             events_mod.ObservationPeriod(start=t0, end=plan.cut1, label="train"),
             events_mod.ObservationPeriod(start=plan.cut1, end=plan.cut2, label="val"),
@@ -443,125 +431,71 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
             "graphs: every coin fell below the minimum spreader count "
             f"({diffusion.MIN_SPREADERS})"
         )
-    root = cfg.out_dir / "graphs"
-    written: list[Path] = []
-    index = []
-    for graph_id in sorted(graphs):
-        graph = graphs[graph_id]
-        directory = root / graph.period
-        diffusion.save_graph(graph, directory)
-        written.extend(directory / f"{graph.cryptocurrency}{t}" for t in GRAPH_TABLES)
-        index.append({"period": graph.period, "coin": graph.cryptocurrency})
-    index_payload = {
-        "graphs": index,
-        "dropped": [
-            {"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped
-        ],
-    }
-    written.append(_write_json(root / "index.json", index_payload))
-    return written
-
-
-def _load_graphs(cfg: PipelineConfig, stage: str) -> dict[str, diffusion.DiffusionGraph]:
-    root = cfg.out_dir / "graphs"
-    index = json.loads((root / "index.json").read_text(encoding="utf-8"))
-    graphs = {}
-    for entry in index["graphs"]:
-        try:
-            graph = diffusion.load_graph(root / entry["period"], entry["coin"], entry["period"])
-        except ValueError as exc:
-            raise DataError(f"{stage}: {exc}") from exc
-        graphs[graph.graph_id] = graph
-    return graphs
-
-
-def _read_features(cfg: PipelineConfig, split: str, stage: str) -> list[FeatureMatrix]:
-    try:
-        return read_features_csv(_features_path(cfg, split))
-    except ValueError as exc:
-        raise DataError(f"{stage}: {exc}") from exc
+    return diffusion.save_graphs(cfg.out_dir / "graphs", graphs, dropped)
 
 
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg)
-    graphs = _load_graphs(cfg, "featurize")
-    written: list[Path] = []
+    graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
+    prices = _read("featurize", market.load_price_dir, cfg.prices_dir) if cfg.prices_dir else {}
+    labels = {}
+    if cfg.labels is not None and cfg.labels.exists():
+        labels = synth_mod.load_labels(cfg.labels)
 
-    series_by_coin: dict[str, market.PriceSeries] = {}
-    if cfg.prices_dir is not None:
-        try:
-            prices = market.load_price_dir(cfg.prices_dir)
-        except market.PriceFileError as exc:
-            raise DataError(f"featurize: {exc}") from exc
-        for pair, series in prices.items():
-            series_by_coin[ingest.normalize_symbol(pair)] = series
-    outcomes, missing = market.compute_outcomes(
-        messages, series_by_coin, rule=cfg.return_rule
-    )
-    out_path = cfg.out_dir / "outcomes.jsonl"
-    market.write_outcomes(out_path, outcomes)
-    written.append(out_path)
+    series_by_coin = {ingest.normalize_symbol(pair): series for pair, series in prices.items()}
+    outcomes, missing = market.compute_outcomes(messages, series_by_coin, rule=cfg.return_rule)
     if missing:
         logger.warning("featurize: %d message(s) had no usable price data", len(missing))
-
-    labels = {}
-    if cfg.labels is not None and Path(cfg.labels).exists():
-        labels = synth_mod.load_labels(cfg.labels)
     by_graph_spreader: dict[str, dict[str, list]] = {}
     for (period, coin), events in event_sets.items():
         bucket = by_graph_spreader.setdefault(f"{period}/{coin}", {})
         for event in events:
             for message in event.messages:
                 bucket.setdefault(message.entity_id, []).append(message)
-
-    matrices: dict[str, FeatureMatrix] = {}
+    by_period: dict[str, list[FeatureMatrix]] = {}
     communities = {}
     for graph_id in sorted(graphs):
         graph = graphs[graph_id]
-        rows = compute_feature_rows(
-            graph, by_graph_spreader.get(graph_id, {}), outcomes
-        )
+        rows = compute_feature_rows(graph, by_graph_spreader.get(graph_id, {}), outcomes)
         graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
-        matrices[graph_id] = assemble_matrix(graph, rows, graph_labels)
+        by_period.setdefault(graph.period, []).append(assemble_matrix(graph, rows, graph_labels))
         partition = louvain(graph.weighted)
         communities[graph_id] = {
-            "assignment": {
-                node: int(partition.assignment[i]) for i, node in enumerate(graph.nodes)
-            },
+            "assignment": {node: int(partition.assignment[i]) for i, node in enumerate(graph.nodes)},
             "modularity": float(partition.modularity),
             "n_communities": partition.n_communities,
         }
-    written.append(_write_json(cfg.out_dir / "features" / "communities.json", communities))
-
-    by_period: dict[str, list[FeatureMatrix]] = {}
-    for graph_id in sorted(matrices):
-        by_period.setdefault(matrices[graph_id].period, []).append(matrices[graph_id])
     fit_period = "train" if "train" in by_period else sorted(by_period)[0]
     standardizer = Standardizer.fit([m.x for m in by_period[fit_period]])
-    std_path = cfg.out_dir / "features" / "standardization.json"
-    std_path.parent.mkdir(parents=True, exist_ok=True)
-    std_path.write_text(standardizer.to_json(), encoding="utf-8")
-    written.append(std_path)
+
+    outcomes_path = cfg.out_dir / "outcomes.jsonl"
+    market.write_outcomes(outcomes_path, outcomes)
+    written = [
+        outcomes_path,
+        _write_json(cfg.out_dir / "features" / "communities.json", communities),
+        _write_text(cfg.out_dir / STANDARDIZATION, standardizer.to_json()),
+    ]
     for period, mats in sorted(by_period.items()):
-        csv_path = cfg.out_dir / "features" / f"{period}.csv"
-        write_features_csv(csv_path, mats)
-        written.append(csv_path)
+        written.append(cfg.out_dir / "features" / f"{period}.csv")
+        write_features_csv(written[-1], mats)
     return written
 
 
-def _graph_data(
-    matrices: Sequence[FeatureMatrix],
-    standardizer: Standardizer,
-    graphs: dict[str, diffusion.DiffusionGraph],
-) -> list[GraphData]:
-    out = []
+def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData]:
+    """The feature matrices of `split`, standardized and joined to their
+    stored graphs, in graph id order."""
+    text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
+    standardizer = Standardizer.from_json(text)
+    graphs = _read(stage, diffusion.load_graphs, cfg.out_dir / "graphs")
+    matrices = _read(stage, read_features_csv, _features_path(cfg, split))
+    data = []
     for mat in sorted(matrices, key=lambda m: m.graph_id):
         graph = graphs.get(mat.graph_id)
         if graph is None:
-            raise DataError(f"no stored graph for feature matrix {mat.graph_id}")
+            raise DataError(f"{stage}: no stored graph for feature matrix {mat.graph_id}")
         if graph.nodes != mat.entity_ids:
-            raise DataError(f"{mat.graph_id}: graph/feature node order mismatch")
-        out.append(
+            raise DataError(f"{stage}: {mat.graph_id}: graph/feature node order mismatch")
+        data.append(
             GraphData(
                 graph_id=mat.graph_id,
                 nodes=mat.entity_ids,
@@ -571,17 +505,13 @@ def _graph_data(
                 directed=graph.directed.astype(float),
             )
         )
-    return out
+    return data
 
 
 def _train(cfg: PipelineConfig) -> list[Path]:
-    std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
-    standardizer = Standardizer.from_json(std_text)
-    graphs = _load_graphs(cfg, "train")
-    train_mats = [m for m in _read_features(cfg, "train", "train") if np.all(m.y >= 0)]
-    if not train_mats:
+    train_graphs = [g for g in _model_inputs(cfg, "train", "train") if np.all(g.y >= 0)]
+    if not train_graphs:
         raise DataError("train: no fully labeled training graphs")
-    train_graphs = _graph_data(train_mats, standardizer, graphs)
     params, history = train(cfg.model, train_graphs)
     if not all(np.isfinite(r.train_loss) for r in history):
         raise NumericalError("train: loss diverged to a non-finite value")
@@ -598,35 +528,31 @@ def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
         params, model_cfg, _ = load_params(model_path)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"infer: {model_path}: {exc}") from exc
-    std_text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
-    standardizer = Standardizer.from_json(std_text)
-    graphs = _load_graphs(cfg, "infer")
-    mats = _read_features(cfg, split, "infer")
-    data = _graph_data(mats, standardizer, graphs)
-    rows = []
-    timings = []
-    for g in data:
+    lines, timings = [], []
+    for g in _model_inputs(cfg, split, "infer"):
         started = time.perf_counter()
         labels_pred, probs = predict(params, model_cfg, g)
         timings.append({"nodes": g.n_nodes, "seconds": time.perf_counter() - started})
-        for node, pred, prob in zip(g.nodes, labels_pred, probs):
-            rows.append(
-                {"graph_id": g.graph_id, "entity_id": node, "probability": float(prob),
-                 "predicted": int(pred)}
-            )
-    out = cfg.out_dir / "predictions.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+        lines += (
+            json.dumps({"graph_id": g.graph_id, "entity_id": node, "probability": float(prob),
+                        "predicted": int(pred)}) + "\n"
+            for node, pred, prob in zip(g.nodes, labels_pred, probs)
+        )
+    out = _write_text(cfg.out_dir / "predictions.jsonl", "".join(lines))
     timing_path = _write_json(cfg.out_dir / "inference_timing.json", timings)
     return [out, timing_path]
 
 
+def _read_predictions(cfg: PipelineConfig) -> list[dict]:
+    """The rows _infer wrote to predictions.jsonl."""
+    with open(cfg.out_dir / "predictions.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def _print_detected(cfg: PipelineConfig) -> None:
-    lines = (cfg.out_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
     detected = [
         {key: row[key] for key in ("graph_id", "entity_id", "probability")}
-        for row in map(json.loads, lines)
+        for row in _read_predictions(cfg)
         if row["predicted"] == 1
     ]
     detected.sort(key=lambda r: (r["graph_id"], -r["probability"], r["entity_id"]))
@@ -634,24 +560,18 @@ def _print_detected(cfg: PipelineConfig) -> None:
 
 
 def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
-    mats = _read_features(cfg, split, "evaluate")
-    label_by_node: dict[tuple[str, str], int] = {}
-    rows_by_node: dict[tuple[str, str], np.ndarray] = {}
-    for mat in mats:
-        for i, node in enumerate(mat.entity_ids):
-            label_by_node[(mat.graph_id, node)] = int(mat.y[i])
-            rows_by_node[(mat.graph_id, node)] = mat.x[i]
+    by_node = {
+        (mat.graph_id, node): (int(label), x)
+        for mat in _read("evaluate", read_features_csv, _features_path(cfg, split))
+        for node, label, x in zip(mat.entity_ids, mat.y, mat.x)
+    }
     probs, labels, feature_rows = [], [], []
-    with open(cfg.out_dir / "predictions.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            key = (row["graph_id"], row["entity_id"])
-            label = label_by_node.get(key, -1)
-            if label < 0:
-                continue
+    for row in _read_predictions(cfg):
+        label, x = by_node.get((row["graph_id"], row["entity_id"]), (-1, None))
+        if label >= 0:
             probs.append(row["probability"])
             labels.append(label)
-            feature_rows.append(rows_by_node[key])
+            feature_rows.append(x)
     if not probs:
         raise DataError(f"evaluate: no labeled nodes in split {split!r}")
     p = np.array(probs)
@@ -669,21 +589,12 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         name: None if r is None else {"statistic": float(r[0]), "p_value": float(r[1])}
         for name, r in tests.items()
     }
-    epoch_seconds = []
     history_path = cfg.out_dir / "history.csv"
-    if history_path.exists():
-        with open(history_path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            col = header.index("epoch_seconds")
-            for line in fh:
-                if line.strip():
-                    epoch_seconds.append(float(line.strip().split(",")[col]))
-    inference_samples = []
+    history = _read("evaluate", read_history_csv, history_path) if history_path.exists() else None
     timing_path = cfg.out_dir / "inference_timing.json"
-    if timing_path.exists():
-        timings = json.loads(timing_path.read_text(encoding="utf-8"))
-        inference_samples = [(entry["nodes"], entry["seconds"]) for entry in timings]
-    timing = evaluation.timing_report(epoch_seconds, inference_samples) if epoch_seconds else {}
+    timings = json.loads(timing_path.read_text(encoding="utf-8")) if timing_path.exists() else []
+    samples = [(entry["nodes"], entry["seconds"]) for entry in timings]
+    timing = evaluation.timing_report([r.seconds for r in history], samples) if history else {}
     flags_summary = {}
     flags_path = cfg.out_dir / "flags.jsonl"
     if flags_path.exists():
@@ -702,7 +613,7 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         "sweep": sweep,
         "t_tests": t_tests,
         "flags": flags_summary,
-        "epochs_trained": len(epoch_seconds) if history_path.exists() else None,
+        "epochs_trained": None if history is None else len(history),
         "timing": timing,
     }
     return [_write_json(cfg.out_dir / "report.json", report)]
@@ -731,7 +642,6 @@ class Stage:
     options: dict = field(default_factory=dict)
 
 
-GRAPHS = ("graphs/index.json", _graph_tables)
 SPLIT_OPTION = {"split": ("test", "feature split to use (default test)")}
 
 STAGES: dict[str, Stage] = {
@@ -772,21 +682,26 @@ STAGES: dict[str, Stage] = {
     "featurize": Stage(
         "market outcomes, node features, communities",
         _featurize,
-        reads=("messages.jsonl", "events.jsonl", *GRAPHS, _price_files),
+        reads=(
+            "messages.jsonl",
+            "events.jsonl",
+            _graph_files,
+            lambda cfg, o: [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir),
+        ),
         reads_if_present=(lambda cfg, o: [cfg.labels] if cfg.labels else [],),
         keys=("return_rule",),
     ),
     "train": Stage(
         "train the spreader classifier",
         _train,
-        reads=(lambda cfg, o: [_features_path(cfg, "train")], STANDARDIZATION, *GRAPHS),
+        reads=(lambda cfg, o: [_features_path(cfg, "train")], STANDARDIZATION, _graph_files),
         # The whole model config is saved into model.json.
         keys=("model",),
     ),
     "infer": Stage(
         "predict mastermind probabilities",
         _infer,
-        reads=("model.json", _split_features, STANDARDIZATION, *GRAPHS),
+        reads=("model.json", _split_features, STANDARDIZATION, _graph_files),
         keys=("split",),
         options=SPLIT_OPTION,
     ),
@@ -814,6 +729,8 @@ def _run(name: str, cfg: PipelineConfig, **opts) -> None:
     opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
     reads, optional = _paths(cfg, opts, stage.reads), _paths(cfg, opts, stage.reads_if_present)
     settings = _settings(cfg, opts, stage.keys)
+    if "split" in opts:
+        _require_graphs_in(name, cfg, opts["split"])
     run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional)
 
 

@@ -159,6 +159,17 @@ def build_graphs(
 
 
 # --- artifact files ----------------------------------------------------------
+# A graph directory holds <period>/<coin><table> per graph and GRAPH_TABLES
+# entry, and index.json: {"graphs": [{period, coin}], "dropped": [{period,
+# cryptocurrency, spreaders}]}.
+
+GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv", ".events.json")
+INDEX = "index.json"
+
+
+def _tables(directory: Path, coin: str) -> list[Path]:
+    return [directory / f"{coin}{table}" for table in GRAPH_TABLES]
+
 
 def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
     """Write nodes/weighted/directed files for one graph under `directory`.
@@ -169,30 +180,63 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    stem = graph.cryptocurrency
-    with open(directory / f"{stem}.nodes.tsv", "w", encoding="utf-8") as fh:
+    nodes_path, weighted_path, directed_path, events_path = _tables(directory, graph.cryptocurrency)
+    with open(nodes_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{i}\t{entity}\n" for i, entity in enumerate(graph.nodes))
     nodes, weighted = graph.nodes, graph.weighted
-    with open(directory / f"{stem}.weighted.tsv", "w", encoding="utf-8") as fh:
+    with open(weighted_path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:.9f}\n"
             for r, s in zip(*np.nonzero(weighted > 0))
         )
-    with open(directory / f"{stem}.directed.tsv", "w", encoding="utf-8") as fh:
+    with open(directed_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{nodes[r]}\t{nodes[s]}\n" for r, s in zip(*np.nonzero(graph.directed)))
-    participation = {
-        entity: sorted(ids) for entity, ids in graph.event_participation.items()
-    }
-    with open(directory / f"{stem}.events.json", "w", encoding="utf-8") as fh:
+    participation = {entity: sorted(ids) for entity, ids in graph.event_participation.items()}
+    with open(events_path, "w", encoding="utf-8") as fh:
         json.dump(participation, fh, sort_keys=True)
+
+
+def save_graphs(
+    root: Path | str,
+    graphs: Mapping[str, DiffusionGraph],
+    dropped: Sequence[tuple[str, str, int]],
+) -> list[Path]:
+    """Write every graph, in graph id order, and the index under `root`;
+    the files written."""
+    root = Path(root)
+    ordered = [graphs[graph_id] for graph_id in sorted(graphs)]
+    for graph in ordered:
+        save_graph(graph, root / graph.period)
+    index = {
+        "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in ordered],
+        "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
+    }
+    root.mkdir(parents=True, exist_ok=True)
+    (root / INDEX).write_text(json.dumps(index, indent=1, sort_keys=True), encoding="utf-8")
+    return graph_files(root)
+
+
+def graph_index(root: Path | str) -> list[tuple[str, str]]:
+    """(period, coin) of every graph that root/index.json lists, in its order."""
+    index = json.loads((Path(root) / INDEX).read_text(encoding="utf-8"))
+    return [(entry["period"], entry["coin"]) for entry in index["graphs"]]
+
+
+def graph_files(root: Path | str) -> list[Path]:
+    """The index and the tables of every graph it lists (only the index
+    while it does not exist)."""
+    root = Path(root)
+    listed = graph_index(root) if (root / INDEX).exists() else []
+    return [root / INDEX] + [p for period, coin in listed for p in _tables(root / period, coin)]
 
 
 def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
     """Read the files save_graph wrote; a malformed line (wrong field count,
     unknown entity, non-finite weight) raises ValueError naming it."""
     directory = Path(directory)
+    nodes_path, weighted_path, directed_path, events_path = _tables(directory, coin)
     nodes: list[str] = []
-    path, number = directory / f"{coin}.nodes.tsv", 0
+    path, number = nodes_path, 0
     try:
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
@@ -200,7 +244,7 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
                 nodes.append(entity)
         index = {entity: i for i, entity in enumerate(nodes)}
         weighted = np.zeros((len(nodes), len(nodes)))
-        path = directory / f"{coin}.weighted.tsv"
+        path = weighted_path
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
                 src, dst, w = line.rstrip("\n").split("\t")
@@ -208,7 +252,7 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
                 if not math.isfinite(weight):
                     raise ValueError(f"weight {w!r} is not a finite number")
         directed = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
-        path = directory / f"{coin}.directed.tsv"
+        path = directed_path
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -219,7 +263,7 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
         raise ValueError(f"{path}:{number}: unknown entity {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
-    loaded = json.loads((directory / f"{coin}.events.json").read_text(encoding="utf-8"))
+    loaded = json.loads(events_path.read_text(encoding="utf-8"))
     participation = {entity: frozenset(ids) for entity, ids in loaded.items()}
     return DiffusionGraph(
         cryptocurrency=coin,
@@ -229,3 +273,12 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
         directed=directed,
         event_participation=participation,
     )
+
+
+def load_graphs(root: Path | str) -> dict[str, DiffusionGraph]:
+    """Every graph root/index.json lists, by graph id; a malformed table
+    raises load_graph's ValueError."""
+    root = Path(root)
+    # load_graph is looked up at each call, so a wrapper set on it sees every one.
+    graphs = (load_graph(root / period, coin, period) for period, coin in graph_index(root))
+    return {graph.graph_id: graph for graph in graphs}

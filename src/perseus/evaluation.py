@@ -7,8 +7,9 @@ that convention.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -92,16 +93,9 @@ def roc_auc(probabilities: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    order = np.argsort(p, kind="stable")
-    ranks = np.empty(len(p), dtype=float)
-    sorted_p = p[order]
-    i = 0
-    while i < len(p):
-        j = i
-        while j + 1 < len(p) and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1  # average 1-based rank
-        i = j + 1
+    _, group, counts = np.unique(p, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # 1-based rank of each tie group's last member
+    ranks = (end - (counts - 1) / 2)[group]  # the group's average rank
     pos_rank_sum = float(np.sum(ranks[y == 1]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
@@ -153,6 +147,23 @@ class SplitPlan:
         if message.cryptocurrency not in self.tokens[idx]:
             return None
         return SPLIT_NAMES[idx]
+
+    def to_json(self) -> str:
+        """The split_plan.json text: cuts as ISO timestamps, tuples as lists."""
+        payload = {**asdict(self), "cut1": self.cut1.isoformat(), "cut2": self.cut2.isoformat()}
+        return json.dumps(payload, indent=1, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "SplitPlan":
+        obj = json.loads(text)
+        return cls(
+            cut1=datetime.fromisoformat(obj["cut1"]),
+            cut2=datetime.fromisoformat(obj["cut2"]),
+            fractions=tuple(obj["fractions"]),
+            tokens=tuple(map(tuple, obj["tokens"])),
+            dropped=tuple(map(tuple, obj["dropped"])),
+            message_counts=tuple(obj["message_counts"]),
+        )
 
 
 def _token_census(chunk: Sequence[CrowdPumpMessage]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -396,11 +407,11 @@ def feature_t_tests(
 
 
 def timing_report(
-    epoch_seconds: Iterable[float],
+    epoch_times: Iterable[float],
     inference_samples: Iterable[tuple[int, float]] = (),
 ) -> dict:
     """Empirical CDF of epoch times plus mean inference time per graph size."""
-    times = sorted(float(t) for t in epoch_seconds)
+    times = sorted(float(t) for t in epoch_times)
     cdf = [[t, (i + 1) / len(times)] for i, t in enumerate(times)]
     by_nodes: dict[int, list[float]] = {}
     for n_nodes, seconds in inference_samples:

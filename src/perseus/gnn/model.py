@@ -165,7 +165,7 @@ def graph_loss(params, config, graph: GraphData) -> float:
 class EpochRecord:
     epoch: int
     train_loss: float
-    epoch_seconds: float
+    seconds: float
 
 
 def train(
@@ -234,7 +234,23 @@ def write_history_csv(path: Path | str, history: Sequence[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,epoch_seconds\n")
         for r in history:
-            fh.write(f"{r.epoch},{r.train_loss!r},{r.epoch_seconds!r}\n")
+            fh.write(f"{r.epoch},{r.train_loss!r},{r.seconds!r}\n")
+
+
+def read_history_csv(path: Path | str) -> list[EpochRecord]:
+    """The records write_history_csv wrote; a malformed row raises
+    ValueError naming its file and line."""
+    history = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number == 1 or not line.strip():
+                continue
+            try:
+                epoch, loss, seconds = line.split(",")
+                history.append(EpochRecord(int(epoch), float(loss), float(seconds)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+    return history
 
 
 def save_params(

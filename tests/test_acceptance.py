@@ -483,7 +483,7 @@ def test_08_single_epoch_speed(synthetic_split):
     total_nodes = sum(len(gd.nodes) for gd in batch)
     total_edges = sum(int(gd.inbound("weighted").sum()) - gd.n_nodes for gd in batch)
     _, history = train(ModelConfig(epochs=1), batch)
-    seconds = history[0].epoch_seconds
+    seconds = history[0].seconds
     ok = total_nodes >= 554 and total_edges >= 1788 and seconds < 1.0
     verdict(
         8,

@@ -478,6 +478,22 @@ def test_missing_artifacts_fail_with_exit_3(tmp_path):
     assert "events.jsonl" in done.stderr
 
 
+def test_an_empty_split_is_named(tmp_path):
+    out = tmp_path / "thin"
+    shape = ["--spreaders", "12", "--events", "150", "--coins", "4", "--forward-prob", "0.1"]
+    done = run_cli("synth", "--out", str(out), *shape, "--synth-seed", "12")
+    assert done.returncode == 0, done.stderr
+    index = out / "graphs" / "index.json"
+    for stage in ("infer", "evaluate"):
+        done = run_cli("all" if stage == "infer" else stage, "--out", str(out))
+        assert done.returncode == 3
+        # The split plan keeps no token in test, so no test graph is listed.
+        want = f"data error: {stage}: split 'test' is empty: {index} lists no graph in it\n"
+        assert done.stderr == want
+    done = run_cli("infer", "--out", str(out), "--split", "val")
+    assert done.returncode == 0, done.stderr
+
+
 def test_bad_config_reports_every_problem(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(

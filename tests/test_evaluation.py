@@ -115,6 +115,7 @@ def test_auc_matches_pairwise_counting():
         probs = np.round(rng.random(n), 2)  # coarse grid forces ties
         expected = oracles.pairwise_auc(probs.tolist(), labels.tolist())
         assert roc_auc(probs, labels) == pytest.approx(expected, abs=1e-9)
+        assert roc_auc(probs, labels) == oracles.reference_roc_auc(probs, labels)
 
 
 def test_auc_requires_both_classes():

@@ -23,6 +23,7 @@ from perseus.gnn import (
     loss_and_grads,
     params_to_vector,
     predict,
+    read_history_csv,
     save_params,
     train,
     vector_to_params,
@@ -346,6 +347,17 @@ def test_history_csv_has_one_row_per_epoch(tmp_path):
     assert lines[0] == "epoch,train_loss,epoch_seconds"
     assert len(lines) == 5
     assert float(lines[1].split(",")[1]) == history[0].train_loss
+
+
+def test_history_csv_reads_back_what_was_written(tmp_path):
+    _, history = train(ModelConfig(epochs=3), separable_graphs())
+    path = tmp_path / "history.csv"
+    write_history_csv(path, history)
+    assert read_history_csv(path) == history
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("4,0.5\n")
+    with pytest.raises(ValueError, match="history.csv:5: "):
+        read_history_csv(path)
 
 
 def test_config_rejects_bad_choices():
