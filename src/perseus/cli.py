@@ -54,6 +54,7 @@ from .gnn import (
     train,
     write_history_csv,
 )
+from .jsonfile import read_json, read_jsonl, write_json, write_jsonl
 
 logger = logging.getLogger("perseus.cli")
 
@@ -244,7 +245,6 @@ def run_stage(
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
 
     def key(path: Path) -> str:
@@ -270,7 +270,7 @@ def run_stage(
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "reason": reason,
     }
-    _write_json(manifest_path, manifest)
+    write_json(manifest_path, manifest)
     logger.info("%s: wrote %d artifact(s)", name, len(outputs))
 
 
@@ -280,8 +280,8 @@ def _rerun_reason(
     """Why a stage must run: no manifest, changed settings, or the keys of
     the changed inputs or outputs. None when the stored manifest holds."""
     try:
-        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
+        stored = read_json(manifest_path)
+    except (FileNotFoundError, ValueError):
         return "no manifest"
     if stored.get("config_hash") != config_hash:
         return "settings changed"
@@ -297,16 +297,6 @@ def _rerun_reason(
     if changed:
         return f"outputs changed: {', '.join(changed)}"
     return None
-
-
-def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def _write_json(path: Path, obj) -> Path:
-    return _write_text(path, json.dumps(obj, indent=1, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +335,7 @@ def _require_graphs_in(stage: str, cfg: PipelineConfig, split: str) -> None:
     root = cfg.out_dir / "graphs"
     index = root / diffusion.INDEX
     period = _features_path(cfg, split).stem
-    if index.exists() and period not in {p for p, _ in diffusion.graph_index(root)}:
+    if index.exists() and period not in {p for p, _ in _read(stage, diffusion.graph_index, root)}:
         raise DataError(f"{stage}: split {split!r} is empty: {index} lists no graph in it")
 
 
@@ -362,28 +352,27 @@ def _read(stage: str, read: Callable, *args):
 
 
 def _parse(cfg: PipelineConfig) -> list[Path]:
-    messages, report = ingest.read_corpus(cfg.corpus)
+    messages, report = _read("parse", ingest.read_corpus, cfg.corpus)
     if not messages:
         raise DataError(f"parse: no crowd-pump messages found in {cfg.corpus}")
     out = cfg.out_dir / "messages.jsonl"
     ingest.write_messages(out, messages)
     summary = dict(report.as_dict())
     summary["accepted"] = len(messages)
-    report_path = _write_json(cfg.out_dir / "skip_report.json", summary)
-    return [out, report_path]
+    return [out, write_json(cfg.out_dir / "skip_report.json", summary)]
 
 
 def _split(cfg: PipelineConfig) -> list[Path]:
-    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+    messages = _read("split", ingest.read_messages, cfg.out_dir / "messages.jsonl")
     try:
         plan = evaluation.chronological_split(messages, cfg.split_fractions)
     except SplitInfeasible as exc:
         raise DataError(f"split: {exc}")
-    return [_write_text(cfg.out_dir / "split_plan.json", plan.to_json())]
+    return [write_json(cfg.out_dir / "split_plan.json", plan.to_json())]
 
 
 def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
-    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+    messages = _read("events", ingest.read_messages, cfg.out_dir / "messages.jsonl")
     cap = timedelta(hours=cfg.event_cap_hours)
     t0 = min(m.source_datetime for m in messages)
     t1 = max(m.source_datetime for m in messages) + timedelta(seconds=1)
@@ -391,7 +380,7 @@ def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
         periods = [events_mod.ObservationPeriod(start=t0, end=t1, label="all")]
         kept = messages
     else:
-        plan = evaluation.SplitPlan.from_json((cfg.out_dir / "split_plan.json").read_text(encoding="utf-8"))
+        plan = _read("events", read_json, cfg.out_dir / "split_plan.json", evaluation.SplitPlan.from_json)
         periods = [
             events_mod.ObservationPeriod(start=t0, end=plan.cut1, label="train"),
             events_mod.ObservationPeriod(start=plan.cut1, end=plan.cut2, label="val"),
@@ -401,30 +390,26 @@ def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
     event_sets = events_mod.build_event_sets(kept, periods, cap)
     if not event_sets:
         raise DataError("events: no events produced from the corpus")
-    out = cfg.out_dir / "events.jsonl"
-    events_mod.write_events(out, event_sets)
-    return [out]
+    return [write_jsonl(cfg.out_dir / "events.jsonl", events_mod.event_rows(event_sets))]
 
 
-def _read_event_sets(cfg: PipelineConfig):
-    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+def _read_event_sets(cfg: PipelineConfig, stage: str):
+    messages = _read(stage, ingest.read_messages, cfg.out_dir / "messages.jsonl")
     by_pid = {m.pid: m for m in messages}
-    event_sets = events_mod.read_events(cfg.out_dir / "events.jsonl", by_pid)
+    event_sets = _read(stage, events_mod.read_events, cfg.out_dir / "events.jsonl", by_pid)
     return messages, event_sets
 
 
 def _flag(cfg: PipelineConfig) -> list[Path]:
-    _, event_sets = _read_event_sets(cfg)
+    _, event_sets = _read_event_sets(cfg, "flag")
     all_events = [e for events in event_sets.values() for e in events]
     all_events.sort(key=lambda e: e.event_id)
     flags = events_mod.flag_concurrent_broadcasts(all_events)
-    out = cfg.out_dir / "flags.jsonl"
-    events_mod.write_flags(out, flags)
-    return [out]
+    return [write_jsonl(cfg.out_dir / "flags.jsonl", map(asdict, flags))]
 
 
 def _graphs(cfg: PipelineConfig) -> list[Path]:
-    _, event_sets = _read_event_sets(cfg)
+    _, event_sets = _read_event_sets(cfg, "graphs")
     graphs, dropped = diffusion.build_graphs(event_sets, mode=cfg.aggregation)
     if not graphs:
         raise DataError(
@@ -435,12 +420,12 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
 
 
 def _featurize(cfg: PipelineConfig) -> list[Path]:
-    messages, event_sets = _read_event_sets(cfg)
+    messages, event_sets = _read_event_sets(cfg, "featurize")
     graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
     prices = _read("featurize", market.load_price_dir, cfg.prices_dir) if cfg.prices_dir else {}
     labels = {}
     if cfg.labels is not None and cfg.labels.exists():
-        labels = synth_mod.load_labels(cfg.labels)
+        labels = _read("featurize", synth_mod.load_labels, cfg.labels)
 
     series_by_coin = {ingest.normalize_symbol(pair): series for pair, series in prices.items()}
     outcomes, missing = market.compute_outcomes(messages, series_by_coin, rule=cfg.return_rule)
@@ -468,12 +453,10 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     fit_period = "train" if "train" in by_period else sorted(by_period)[0]
     standardizer = Standardizer.fit([m.x for m in by_period[fit_period]])
 
-    outcomes_path = cfg.out_dir / "outcomes.jsonl"
-    market.write_outcomes(outcomes_path, outcomes)
     written = [
-        outcomes_path,
-        _write_json(cfg.out_dir / "features" / "communities.json", communities),
-        _write_text(cfg.out_dir / STANDARDIZATION, standardizer.to_json()),
+        write_jsonl(cfg.out_dir / "outcomes.jsonl", (asdict(outcomes[pid]) for pid in sorted(outcomes))),
+        write_json(cfg.out_dir / "features" / "communities.json", communities),
+        write_json(cfg.out_dir / STANDARDIZATION, standardizer.to_json(), indent=None),
     ]
     for period, mats in sorted(by_period.items()):
         written.append(cfg.out_dir / "features" / f"{period}.csv")
@@ -484,8 +467,7 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
 def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData]:
     """The feature matrices of `split`, standardized and joined to their
     stored graphs, in graph id order."""
-    text = (cfg.out_dir / STANDARDIZATION).read_text(encoding="utf-8")
-    standardizer = Standardizer.from_json(text)
+    standardizer = _read(stage, read_json, cfg.out_dir / STANDARDIZATION, Standardizer.from_json)
     graphs = _read(stage, diffusion.load_graphs, cfg.out_dir / "graphs")
     matrices = _read(stage, read_features_csv, _features_path(cfg, split))
     data = []
@@ -523,36 +505,25 @@ def _train(cfg: PipelineConfig) -> list[Path]:
 
 
 def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
-    model_path = cfg.out_dir / "model.json"
-    try:
-        params, model_cfg, _ = load_params(model_path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"infer: {model_path}: {exc}") from exc
-    lines, timings = [], []
+    params, model_cfg, _ = _read("infer", load_params, cfg.out_dir / "model.json")
+    rows, timings = [], []
     for g in _model_inputs(cfg, split, "infer"):
         started = time.perf_counter()
         labels_pred, probs = predict(params, model_cfg, g)
         timings.append({"nodes": g.n_nodes, "seconds": time.perf_counter() - started})
-        lines += (
-            json.dumps({"graph_id": g.graph_id, "entity_id": node, "probability": float(prob),
-                        "predicted": int(pred)}) + "\n"
+        rows += (
+            {"graph_id": g.graph_id, "entity_id": node, "probability": float(prob),
+             "predicted": int(pred)}
             for node, pred, prob in zip(g.nodes, labels_pred, probs)
         )
-    out = _write_text(cfg.out_dir / "predictions.jsonl", "".join(lines))
-    timing_path = _write_json(cfg.out_dir / "inference_timing.json", timings)
-    return [out, timing_path]
-
-
-def _read_predictions(cfg: PipelineConfig) -> list[dict]:
-    """The rows _infer wrote to predictions.jsonl."""
-    with open(cfg.out_dir / "predictions.jsonl", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
+    out = write_jsonl(cfg.out_dir / "predictions.jsonl", rows)
+    return [out, write_json(cfg.out_dir / "inference_timing.json", timings)]
 
 
 def _print_detected(cfg: PipelineConfig) -> None:
     detected = [
         {key: row[key] for key in ("graph_id", "entity_id", "probability")}
-        for row in _read_predictions(cfg)
+        for row in _read("infer", list, read_jsonl(cfg.out_dir / "predictions.jsonl"))
         if row["predicted"] == 1
     ]
     detected.sort(key=lambda r: (r["graph_id"], -r["probability"], r["entity_id"]))
@@ -566,7 +537,7 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         for node, label, x in zip(mat.entity_ids, mat.y, mat.x)
     }
     probs, labels, feature_rows = [], [], []
-    for row in _read_predictions(cfg):
+    for row in _read("evaluate", list, read_jsonl(cfg.out_dir / "predictions.jsonl")):
         label, x = by_node.get((row["graph_id"], row["entity_id"]), (-1, None))
         if label >= 0:
             probs.append(row["probability"])
@@ -592,14 +563,14 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
     history_path = cfg.out_dir / "history.csv"
     history = _read("evaluate", read_history_csv, history_path) if history_path.exists() else None
     timing_path = cfg.out_dir / "inference_timing.json"
-    timings = json.loads(timing_path.read_text(encoding="utf-8")) if timing_path.exists() else []
-    samples = [(entry["nodes"], entry["seconds"]) for entry in timings]
+    samples = []
+    if timing_path.exists():
+        samples = _read("evaluate", read_json, timing_path, lambda ts: [(t["nodes"], t["seconds"]) for t in ts])
     timing = evaluation.timing_report([r.seconds for r in history], samples) if history else {}
     flags_summary = {}
     flags_path = cfg.out_dir / "flags.jsonl"
     if flags_path.exists():
-        lines = flags_path.read_text(encoding="utf-8").splitlines()
-        flags_summary = {"events_flagged": sum(1 for line in lines if line.strip())}
+        flags_summary = {"events_flagged": len(_read("evaluate", list, read_jsonl(flags_path)))}
     report = {
         "split": split,
         "n_nodes": int(len(y)),
@@ -616,7 +587,7 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         "epochs_trained": None if history is None else len(history),
         "timing": timing,
     }
-    return [_write_json(cfg.out_dir / "report.json", report)]
+    return [write_json(cfg.out_dir / "report.json", report)]
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +698,8 @@ def _settings(cfg: PipelineConfig, opts: dict, keys: Sequence[str]) -> dict:
 def _run(name: str, cfg: PipelineConfig, **opts) -> None:
     stage = STAGES[name]
     opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
-    reads, optional = _paths(cfg, opts, stage.reads), _paths(cfg, opts, stage.reads_if_present)
+    # Listing the graph files parses graphs/index.json.
+    reads, optional = (_read(name, _paths, cfg, opts, r) for r in (stage.reads, stage.reads_if_present))
     settings = _settings(cfg, opts, stage.keys)
     if "split" in opts:
         _require_graphs_in(name, cfg, opts["split"])
@@ -747,7 +719,6 @@ stage_evaluate = functools.partial(_run, "evaluate")
 
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:
     corpus = synth_mod.generate_corpus(synth_config)
-    cfg.corpus.parent.mkdir(parents=True, exist_ok=True)
     ingest.write_raw_messages(cfg.corpus, corpus.raw_messages)
     if cfg.prices_dir is not None:
         prices_dir = Path(cfg.prices_dir)
@@ -755,7 +726,6 @@ def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> Non
         for pair in sorted(corpus.prices):
             market.write_price_csv(prices_dir / f"{pair}.csv", corpus.prices[pair])
     if cfg.labels is not None:
-        cfg.labels.parent.mkdir(parents=True, exist_ok=True)
         synth_mod.write_labels(cfg.labels, corpus.truth.labels)
         synth_mod.write_truth(cfg.labels.with_name("truth.json"), corpus.truth)
     logger.info(

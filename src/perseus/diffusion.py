@@ -17,7 +17,6 @@ binary orientation keeps r -> s only where the weight beats its reverse.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .events import CrowdPumpEvent
+from .jsonfile import read_json, write_json
 
 MIN_SPREADERS = 4
 
@@ -192,8 +192,7 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
     with open(directed_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{nodes[r]}\t{nodes[s]}\n" for r, s in zip(*np.nonzero(graph.directed)))
     participation = {entity: sorted(ids) for entity, ids in graph.event_participation.items()}
-    with open(events_path, "w", encoding="utf-8") as fh:
-        json.dump(participation, fh, sort_keys=True)
+    write_json(events_path, participation, indent=None)
 
 
 def save_graphs(
@@ -211,15 +210,16 @@ def save_graphs(
         "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in ordered],
         "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
     }
-    root.mkdir(parents=True, exist_ok=True)
-    (root / INDEX).write_text(json.dumps(index, indent=1, sort_keys=True), encoding="utf-8")
+    write_json(root / INDEX, index)
     return graph_files(root)
 
 
 def graph_index(root: Path | str) -> list[tuple[str, str]]:
     """(period, coin) of every graph that root/index.json lists, in its order."""
-    index = json.loads((Path(root) / INDEX).read_text(encoding="utf-8"))
-    return [(entry["period"], entry["coin"]) for entry in index["graphs"]]
+    return read_json(
+        Path(root) / INDEX,
+        lambda index: [(entry["period"], entry["coin"]) for entry in index["graphs"]],
+    )
 
 
 def graph_files(root: Path | str) -> list[Path]:
@@ -263,8 +263,9 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
         raise ValueError(f"{path}:{number}: unknown entity {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
-    loaded = json.loads(events_path.read_text(encoding="utf-8"))
-    participation = {entity: frozenset(ids) for entity, ids in loaded.items()}
+    participation = read_json(
+        events_path, lambda loaded: {entity: frozenset(ids) for entity, ids in loaded.items()}
+    )
     return DiffusionGraph(
         cryptocurrency=coin,
         period=period,

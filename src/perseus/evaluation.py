@@ -7,7 +7,6 @@ that convention.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime
@@ -148,14 +147,12 @@ class SplitPlan:
             return None
         return SPLIT_NAMES[idx]
 
-    def to_json(self) -> str:
-        """The split_plan.json text: cuts as ISO timestamps, tuples as lists."""
-        payload = {**asdict(self), "cut1": self.cut1.isoformat(), "cut2": self.cut2.isoformat()}
-        return json.dumps(payload, indent=1, sort_keys=True)
+    def to_json(self) -> dict:
+        """The split_plan.json document: cuts as ISO timestamps, tuples as lists."""
+        return {**asdict(self), "cut1": self.cut1.isoformat(), "cut2": self.cut2.isoformat()}
 
     @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        obj = json.loads(text)
+    def from_json(cls, obj: dict) -> "SplitPlan":
         return cls(
             cut1=datetime.fromisoformat(obj["cut1"]),
             cut2=datetime.fromisoformat(obj["cut2"]),

@@ -9,14 +9,14 @@ pools long and short events into the coin's event set.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ingest import CrowdPumpMessage, TradeDirection
+from .jsonfile import read_jsonl
 
 GAP_CAP = timedelta(hours=72)
 SAME_SECOND_MIN_CHANNELS = 3
@@ -229,53 +229,37 @@ def flag_concurrent_broadcasts(events: Iterable[CrowdPumpEvent]) -> list[Broadca
 
 # --- serialization -----------------------------------------------------------
 
-def write_events(path: Path | str, event_sets: Mapping[tuple[str, str], Sequence[CrowdPumpEvent]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (period, coin), events in sorted(event_sets.items()):
-            for event in events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "event_id": event.event_id,
-                            "period": period,
-                            "cryptocurrency": coin,
-                            "direction": event.direction.value,
-                            "messages": [m.pid for m in event.messages],
-                        }
-                    )
-                    + "\n"
-                )
+def event_rows(event_sets: Mapping[tuple[str, str], Sequence[CrowdPumpEvent]]) -> Iterator[dict]:
+    """The events.jsonl rows of `event_sets`, in (period, coin) order."""
+    for (period, coin), events in sorted(event_sets.items()):
+        for event in events:
+            yield {
+                "event_id": event.event_id,
+                "period": period,
+                "cryptocurrency": coin,
+                "direction": event.direction.value,
+                "messages": [m.pid for m in event.messages],
+            }
 
 
 def read_events(
     path: Path | str, messages_by_pid: Mapping[int, CrowdPumpMessage]
 ) -> dict[tuple[str, str], list[CrowdPumpEvent]]:
+    """The event sets event_rows wrote; a malformed line, or one naming a
+    pid not in `messages_by_pid`, raises ValueError naming file and line."""
+
+    def row(obj: dict) -> tuple[str, CrowdPumpEvent]:
+        unknown = [pid for pid in obj["messages"] if pid not in messages_by_pid]
+        if unknown:
+            raise ValueError(f"unknown pid {unknown[0]}")
+        return str(obj["period"]), CrowdPumpEvent(
+            event_id=int(obj["event_id"]),
+            cryptocurrency=str(obj["cryptocurrency"]),
+            direction=TradeDirection(obj["direction"]),
+            messages=tuple(messages_by_pid[pid] for pid in obj["messages"]),
+        )
+
     out: dict[tuple[str, str], list[CrowdPumpEvent]] = defaultdict(list)
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            event = CrowdPumpEvent(
-                event_id=int(obj["event_id"]),
-                cryptocurrency=str(obj["cryptocurrency"]),
-                direction=TradeDirection(obj["direction"]),
-                messages=tuple(messages_by_pid[int(pid)] for pid in obj["messages"]),
-            )
-            out[(str(obj["period"]), event.cryptocurrency)].append(event)
+    for period, event in read_jsonl(path, row):
+        out[(period, event.cryptocurrency)].append(event)
     return dict(out)
-
-
-def write_flags(path: Path | str, flags: Sequence[BroadcastFlag]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for flag in flags:
-            fh.write(
-                json.dumps(
-                    {
-                        "event_id": flag.event_id,
-                        "channels": list(flag.channels),
-                        "reasons": list(flag.reasons),
-                    }
-                )
-                + "\n"
-            )

@@ -9,7 +9,6 @@ topological measures computed twice, once on the directed 0/1 graph
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -176,22 +175,20 @@ class Standardizer:
         out[:, alive] = (x[:, alive] - self.mean[alive]) / self.std[alive]
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "columns": list(FEATURE_COLUMNS),
-                "mean": [repr(float(v)) for v in self.mean],
-                "std": [repr(float(v)) for v in self.std],
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "columns": list(FEATURE_COLUMNS),
+            "mean": [repr(float(v)) for v in self.mean],
+            "std": [repr(float(v)) for v in self.std],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "Standardizer":
-        obj = json.loads(text)
-        return cls(
-            mean=np.array([float(v) for v in obj["mean"]]),
-            std=np.array([float(v) for v in obj["std"]]),
-        )
+    def from_json(cls, obj: dict) -> "Standardizer":
+        """Raises ValueError unless `obj` has a mean and a std for each feature column."""
+        mean, std = (np.array([float(v) for v in obj[key]]) for key in ("mean", "std"))
+        if tuple(obj["columns"]) != FEATURE_COLUMNS or not mean.shape == std.shape == (N_FEATURES,):
+            raise ValueError(f"expected a mean and a std for each of the {N_FEATURES} feature columns")
+        return cls(mean=mean, std=std)
 
 
 def write_features_csv(path: Path | str, matrices: Sequence[FeatureMatrix]) -> None:

@@ -8,7 +8,6 @@ budget of `epochs` epochs and ships the final epoch's parameters.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..jsonfile import read_json, write_json
 from .layers import (
     Adam,
     bce_grad_wrt_logits,
@@ -157,10 +157,6 @@ def loss_and_grads(
     return loss, grads
 
 
-def graph_loss(params, config, graph: GraphData) -> float:
-    return bce_loss(forward(params, config, graph), graph.y.astype(float))
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -206,30 +202,6 @@ def predict(
     return (probs >= cut).astype(int), probs
 
 
-def params_to_vector(params: Sequence[dict[str, np.ndarray]]) -> np.ndarray:
-    """Flatten all parameters into one vector (layer by layer, sorted names)."""
-    return np.concatenate(
-        [params[i][name].ravel() for i in range(len(params)) for name in sorted(params[i])]
-    )
-
-
-def vector_to_params(
-    vector: np.ndarray, template: Sequence[dict[str, np.ndarray]]
-) -> list[dict[str, np.ndarray]]:
-    out = []
-    pos = 0
-    for layer in template:
-        rebuilt = {}
-        for name in sorted(layer):
-            size = layer[name].size
-            rebuilt[name] = vector[pos : pos + size].reshape(layer[name].shape).copy()
-            pos += size
-        out.append(rebuilt)
-    if pos != vector.size:
-        raise ValueError(f"vector has {vector.size} entries, template needs {pos}")
-    return out
-
-
 def write_history_csv(path: Path | str, history: Sequence[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,epoch_seconds\n")
@@ -267,11 +239,14 @@ def save_params(
             {name: arr.tolist() for name, arr in layer.items()} for layer in params
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_params(path: Path | str) -> tuple[list[dict[str, np.ndarray]], ModelConfig, int]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path, _params_from_json)
+
+
+def _params_from_json(obj: dict) -> tuple[list[dict[str, np.ndarray]], ModelConfig, int]:
     if obj.get("format_version") != PARAMS_FORMAT_VERSION:
         raise ValueError(f"unsupported parameter format {obj.get('format_version')}")
     config = ModelConfig(**obj["config"])

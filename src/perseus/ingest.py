@@ -23,6 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .jsonfile import read_jsonl, write_jsonl
+
 logger = logging.getLogger(__name__)
 
 TICKER_RE = re.compile(r"^[A-Z0-9]{2,10}$")
@@ -352,7 +354,10 @@ def message_to_json(message: CrowdPumpMessage) -> str:
 
 
 def message_from_json(line: str) -> CrowdPumpMessage:
-    obj = json.loads(line, parse_float=Decimal)
+    return _message(json.loads(line, parse_float=Decimal))
+
+
+def _message(obj: dict) -> CrowdPumpMessage:
     stop = obj.get("stop_loss")
     return CrowdPumpMessage(
         pid=int(obj["PID"]),
@@ -370,18 +375,25 @@ def message_from_json(line: str) -> CrowdPumpMessage:
 
 
 def _as_decimal(value) -> Decimal:
-    return value if isinstance(value, Decimal) else Decimal(str(value))
+    if isinstance(value, Decimal):
+        return value
+    try:
+        return Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"{value!r} is not a decimal number") from None
 
 
 def write_messages(path: Path | str, messages: Sequence[CrowdPumpMessage]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for message in messages:
-            fh.write(message_to_json(message) + "\n")
+    write_jsonl(path, messages, message_to_json)
 
 
 def read_messages(path: Path | str) -> list[CrowdPumpMessage]:
-    with open(path, encoding="utf-8") as fh:
-        return [message_from_json(line) for line in fh if line.strip()]
+    """The messages write_messages wrote; a malformed line, or no message
+    at all, raises ValueError naming the file."""
+    messages = list(read_jsonl(path, _message, parse_float=Decimal))
+    if not messages:
+        raise ValueError(f"{path}: no messages")
+    return messages
 
 
 def raw_message_to_json(raw: RawMessage) -> str:
@@ -396,9 +408,7 @@ def raw_message_to_json(raw: RawMessage) -> str:
 
 
 def write_raw_messages(path: Path | str, raws: Sequence[RawMessage]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for raw in raws:
-            fh.write(raw_message_to_json(raw) + "\n")
+    write_jsonl(path, raws, raw_message_to_json)
 
 
 def read_corpus(

@@ -8,7 +8,6 @@ price actually reached.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -242,22 +241,3 @@ def compute_outcomes(
         except MissingData:
             missing.append(message.pid)
     return outcomes, missing
-
-
-def write_outcomes(path: Path | str, outcomes: Mapping[int, MarketOutcome]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid in sorted(outcomes):
-            o = outcomes[pid]
-            fh.write(
-                json.dumps(
-                    {
-                        "pid": o.pid,
-                        "announcement_price": o.announcement_price,
-                        "extreme_price": o.extreme_price,
-                        "max_return": o.max_return,
-                        "targets_achieved": o.targets_achieved,
-                        "targets_total": o.targets_total,
-                    }
-                )
-                + "\n"
-            )

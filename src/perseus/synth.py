@@ -21,8 +21,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-import json
-
 import numpy as np
 
 from .ingest import (
@@ -32,6 +30,7 @@ from .ingest import (
     parse_corpus,
     raw_message_to_json,
 )
+from .jsonfile import read_json, write_json
 from .market import PriceSeries
 
 EVENT_SPACING_HOURS = 112.0
@@ -476,21 +475,16 @@ def score_edge_recovery(
 
 
 def write_truth(path: Path | str, truth: GroundTruth) -> None:
-    Path(path).write_text(
-        json.dumps(truth.to_json(), indent=1, sort_keys=True), encoding="utf-8"
-    )
+    write_json(path, truth.to_json())
 
 
 def load_truth(path: Path | str) -> GroundTruth:
-    return GroundTruth.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, GroundTruth.from_json)
 
 
 def write_labels(path: Path | str, labels: dict[str, int]) -> None:
-    Path(path).write_text(
-        json.dumps({"labels": labels}, indent=1, sort_keys=True), encoding="utf-8"
-    )
+    write_json(path, {"labels": labels})
 
 
 def load_labels(path: Path | str) -> dict[str, int]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {k: int(v) for k, v in obj["labels"].items()}
+    return read_json(path, lambda obj: {k: int(v) for k, v in obj["labels"].items()})

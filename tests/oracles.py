@@ -27,11 +27,13 @@ from datetime import timedelta
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
 from perseus.features.ego import EGO_KEYS
+from perseus.gnn import bce_loss, forward
 from perseus.ingest import parse_timestamp
 from perseus import synth
 from perseus.market import PriceSeries, _posix
@@ -753,6 +755,36 @@ def central_difference(f, vec, h=1e-5):
         down[i] -= h
         grad[i] = (f(up) - f(down)) / (2.0 * h)
     return grad
+
+
+def graph_loss(params, config, graph):
+    """The training loss of one graph, the function the gradient checks
+    differentiate numerically."""
+    return bce_loss(forward(params, config, graph), graph.y.astype(float))
+
+
+def params_to_vector(params: Sequence[dict[str, np.ndarray]]) -> np.ndarray:
+    """Flatten all parameters into one vector (layer by layer, sorted names)."""
+    return np.concatenate(
+        [params[i][name].ravel() for i in range(len(params)) for name in sorted(params[i])]
+    )
+
+
+def vector_to_params(
+    vector: np.ndarray, template: Sequence[dict[str, np.ndarray]]
+) -> list[dict[str, np.ndarray]]:
+    out = []
+    pos = 0
+    for layer in template:
+        rebuilt = {}
+        for name in sorted(layer):
+            size = layer[name].size
+            rebuilt[name] = vector[pos : pos + size].reshape(layer[name].shape).copy()
+            pos += size
+        out.append(rebuilt)
+    if pos != vector.size:
+        raise ValueError(f"vector has {vector.size} entries, template needs {pos}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
+from oracles import graph_loss, params_to_vector, vector_to_params
 
 from perseus.diffusion import build_graphs, derive_directed, infer_weighted, lambda_matrix
 from perseus.evaluation import (
@@ -38,13 +39,10 @@ from perseus.gnn import (
     ARCH_SAGE,
     GraphData,
     ModelConfig,
-    graph_loss,
     init_params,
     loss_and_grads,
-    params_to_vector,
     predict,
     train,
-    vector_to_params,
 )
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.market import compute_outcomes

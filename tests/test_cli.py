@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from perseus import cli
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
 from perseus.features import FEATURE_COLUMNS
 
@@ -600,6 +601,15 @@ def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
     assert err.startswith(f"data error: infer: {path}: ") and len(err.splitlines()) == 1, err
 
 
+def test_short_standardization_fails_train_with_exit_3(settled, capsys):
+    path = settled / "features" / "standardization.json"
+    obj = json.loads(path.read_text())
+    path.write_text(json.dumps({key: values[:-1] for key, values in obj.items()}))
+    assert main(["train", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: train: {path}: ") and len(err.splitlines()) == 1, err
+
+
 def test_sui_fixture_recovers_its_masterminds(tmp_path):
     """The shipped SUI case, end to end through the CLI: parse the corpus,
     build its diffusion graph, train on the hand labels, and the two
@@ -642,3 +652,64 @@ def test_sui_fixture_recovers_its_masterminds(tmp_path):
     }
     assert {r["entity_id"] for r in detected} >= {"CQSScalpingFree", "cryptotipstrick"}
     assert_matches_golden(out, "sui")
+
+
+CORRUPTIONS = {
+    "append": lambda data: data + b"x\n",
+    "truncate": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+}
+
+
+def _kind(rel):
+    """Graph tables of one kind, and the price CSVs, stand in for each other."""
+    if rel.parts[0] == "graphs" and rel.name != "index.json":
+        return "graphs/*" + rel.name[rel.name.index("."):]
+    return "data/prices/*.csv" if rel.parent == Path("data/prices") else str(rel)
+
+
+def corruption_cases(out):
+    """(stage, file, corruption) for every file a stage reads on `out`, one
+    file per graph-table kind and one price CSV."""
+    cfg = build_config(None, out_override=str(out))
+    for name, stage in cli.STAGES.items():
+        opts = {dest: default for dest, (default, _) in stage.options.items()}
+        picked = {}
+        for path in cli._paths(cfg, opts, stage.reads + stage.reads_if_present):
+            rel = path.relative_to(out)
+            picked.setdefault(_kind(rel), rel)
+        for rel in picked.values():
+            for how in CORRUPTIONS:
+                yield name, rel, how
+
+
+def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
+    """Every file a stage reads, appended to, cut in half or emptied, gives
+    exit 0 or exit 3 with one `data error: <stage>:` line and no traceback.
+    A line that fails to parse, as the appended `x` does, is named by file,
+    and by line number in a line-oriented file (all but JSON documents and
+    price CSVs)."""
+    bad = []
+    cases = list(corruption_cases(pipeline))
+    assert len(cases) == 111
+    for n, (stage, rel, how) in enumerate(cases):
+        out = tmp_path / str(n)
+        shutil.copytree(pipeline, out)
+        path, data = out / rel, (out / rel).read_bytes()
+        path.write_bytes(CORRUPTIONS[how](data))
+        try:
+            code = main([stage, "--out", str(out)])
+        except Exception as exc:  # what the console script shows as a traceback, exit 1
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        by_line = rel.suffix in (".jsonl", ".tsv") or (rel.suffix == ".csv" and rel.parts[0] != "data")
+        where = f"{path}:{len(data.splitlines()) + 1}: " if by_line else f"{path}: "
+        if code == 3:
+            ok = err.startswith(f"data error: {stage}: ") and len(err.splitlines()) == 1
+            ok = ok and (how != "append" or where in err)
+        else:
+            ok = code == 0
+        if not ok:
+            bad.append((stage, str(rel), how, code, err))
+        shutil.rmtree(out)
+    assert bad == []

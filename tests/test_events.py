@@ -14,13 +14,14 @@ from perseus.events import (
     ObservationPeriod,
     build_event_sets,
     compute_gap_threshold,
+    event_rows,
     flag_concurrent_broadcasts,
     percentile_95,
     read_events,
     segment_events,
-    write_events,
 )
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
+from perseus.jsonfile import write_jsonl
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 
@@ -282,7 +283,17 @@ def test_event_file_round_trip(tmp_path):
     stream = [msg("a", 0), msg("b", 1), msg("c", 100)]
     sets = build_event_sets(stream, [period])
     path = tmp_path / "events.jsonl"
-    write_events(path, sets)
+    write_jsonl(path, event_rows(sets))
     by_pid = {m.pid: m for m in stream}
     again = read_events(path, by_pid)
     assert again == sets
+
+
+def test_an_event_naming_an_unknown_pid_is_named_by_line(tmp_path):
+    period = ObservationPeriod(T0, T0 + timedelta(days=30), "all")
+    stream = [msg("a", 0), msg("b", 1), msg("c", 100)]
+    path = tmp_path / "events.jsonl"
+    write_jsonl(path, event_rows(build_event_sets(stream, [period])))
+    by_pid = {m.pid: m for m in stream[:-1]}
+    with pytest.raises(ValueError, match=rf"events.jsonl:2: unknown pid {stream[-1].pid}$"):
+        read_events(path, by_pid)

@@ -418,6 +418,21 @@ def test_standardizer_json_round_trip():
     np.testing.assert_allclose(again.transform(x), std.transform(x), atol=0)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: {**obj, "mean": obj["mean"][:-1], "std": obj["std"][:-1]},
+        lambda obj: {**obj, "std": obj["std"][:-1]},
+        lambda obj: {**obj, "columns": obj["columns"][::-1]},
+    ],
+    ids=["22_entries", "short_std", "reordered_columns"],
+)
+def test_standardizer_rejects_a_file_that_does_not_fit_the_columns(edit):
+    std = Standardizer.fit([np.arange(2 * N_FEATURES, dtype=float).reshape(2, N_FEATURES)])
+    with pytest.raises(ValueError):
+        Standardizer.from_json(edit(std.to_json()))
+
+
 def test_features_csv_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     mats = []

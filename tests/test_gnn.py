@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
+from oracles import graph_loss, params_to_vector, vector_to_params
 
 from perseus.gnn import (
     ARCH_GAT,
@@ -17,16 +18,13 @@ from perseus.gnn import (
     GraphData,
     ModelConfig,
     forward,
-    graph_loss,
     init_params,
     load_params,
     loss_and_grads,
-    params_to_vector,
     predict,
     read_history_csv,
     save_params,
     train,
-    vector_to_params,
     write_history_csv,
 )
 from perseus.gnn import model as model_mod

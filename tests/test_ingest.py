@@ -162,6 +162,23 @@ def test_file_round_trip(tmp_path):
     assert read_messages(path) == messages
 
 
+def test_an_empty_message_file_is_named(tmp_path):
+    path = tmp_path / "messages.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match="messages.jsonl: no messages"):
+        read_messages(path)
+
+
+def test_a_price_that_is_not_a_number_is_named_by_line(tmp_path):
+    messages, _ = parse_corpus([_line(SIGNAL_TEXT)] * 2)
+    path = tmp_path / "messages.jsonl"
+    write_messages(path, messages)
+    first, second = path.read_text().splitlines()
+    path.write_text(first + "\n" + second.replace('"entry_prices": [', '"entry_prices": ["abc", ') + "\n")
+    with pytest.raises(ValueError, match="messages.jsonl:2: 'abc' is not a decimal number"):
+        read_messages(path)
+
+
 def test_message_validation():
     base = dict(
         pid=1,

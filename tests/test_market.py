@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -10,6 +11,7 @@ import pytest
 
 import oracles
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
+from perseus.jsonfile import read_jsonl, write_jsonl
 from perseus.market import (
     MissingData,
     PriceFileError,
@@ -20,7 +22,6 @@ from perseus.market import (
     load_price_dir,
     outcome,
     price_at,
-    write_outcomes,
     write_price_csv,
 )
 from perseus.synth import SynthConfig, generate_corpus
@@ -196,8 +197,8 @@ def test_outcome_file_round_trip(tmp_path):
     s = series([(0, 100.0), (60, 110.0)])
     outcomes, _ = compute_outcomes([signal(pid=5)], {"SUI": s})
     path = tmp_path / "outcomes.jsonl"
-    write_outcomes(path, outcomes)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    write_jsonl(path, (asdict(outcomes[pid]) for pid in sorted(outcomes)))
+    rows = list(read_jsonl(path))
     assert rows == [
         {
             "pid": 5,
