@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from perseus import cli
+from perseus import cli, ingest, market
+from perseus import synth as synth_mod
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
 from perseus.features import FEATURE_COLUMNS
+from perseus.synth import SynthConfig, generate_corpus, write_labels, write_truth
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -526,6 +529,76 @@ def test_bad_synth_arguments_fail_with_exit_2(tmp_path):
     )
     assert done.returncode == 2
     assert "config error: synth:" in done.stderr
+
+
+SMALL_SYNTH = SynthConfig(n_spreaders=12, n_events=6, n_coins=3)
+SMALL_SYNTH_ARGS = ("--spreaders", "12", "--events", "6", "--coins", "3")
+
+
+@pytest.fixture(scope="module")
+def small_synth_files(tmp_path_factory):
+    """The files of SMALL_SYNTH written in process and in order, by name."""
+    corpus = generate_corpus(SMALL_SYNTH)
+    out = tmp_path_factory.mktemp("in_process")
+    ingest.write_raw_messages(out / "corpus.jsonl", corpus.raw_messages)
+    write_labels(out / "labels.json", corpus.truth.labels)
+    write_truth(out / "truth.json", corpus.truth)
+    for pair, series in corpus.prices.items():
+        market.write_price_csv(out / f"{pair}.csv", series)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_synth_files_do_not_depend_on_the_cpu_count(
+    tmp_path, monkeypatch, small_synth_files, cpus
+):
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    made_here = []
+    generate_prices = synth_mod.generate_prices
+
+    def recorded(messages, config):
+        series = generate_prices(messages, config)
+        made_here.extend(series)
+        return series
+
+    monkeypatch.setattr(synth_mod, "generate_prices", recorded)
+    assert main(["synth", "--out", str(tmp_path), *SMALL_SYNTH_ARGS]) == 0
+    data = tmp_path / "data"
+    files = [*data.glob("*.json*"), *(data / "prices").iterdir()]
+    got = {p.name: p.read_bytes() for p in files}
+    assert sorted(got) == sorted(small_synth_files)
+    for name, want in small_synth_files.items():
+        assert got[name] == want, name
+    # This process wrote its own share of the pairs; the workers wrote the rest.
+    pairs = sorted(name[: -len(".csv")] for name in got if name.endswith(".csv"))
+    assert made_here == pairs[::cpus]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("share", [0, 1], ids=["this_process", "worker"])
+def test_a_failed_price_write_surfaces_and_leaves_no_process(
+    tmp_path, monkeypatch, small_synth_files, share
+):
+    pairs = sorted(name for name in small_synth_files if name.endswith(".csv"))
+    raised = []
+    for cpus, out in [(1, tmp_path / "serial"), (2, tmp_path / "parallel")]:
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        # With 2 CPUs, share 0 is this process's and share 1 the worker's.
+        (out / "data" / "prices" / pairs[share]).mkdir(parents=True)
+        with pytest.raises(OSError) as exc:
+            main(["synth", "--out", str(out), *SMALL_SYNTH_ARGS])
+        raised.append(exc.type)
+        assert multiprocessing.active_children() == []
+    assert raised[0] is raised[1] is IsADirectoryError
+
+
+def test_cpu_count_falls_back_to_one(monkeypatch):
+    assert cli._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cli._cpus() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._cpus() == 1
 
 
 @pytest.mark.parametrize(
