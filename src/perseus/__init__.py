@@ -8,7 +8,7 @@ the `perseus` command line tool.
 """
 
 from .ingest import CrowdPumpMessage, RawMessage, TradeDirection, parse_corpus
-from .events import CrowdPumpEvent, ObservationPeriod, build_event_sets
+from .events import CrowdPumpEvent, build_event_sets
 from .diffusion import DiffusionGraph, build_graphs
 from .market import MarketOutcome, PriceSeries, compute_outcomes
 from .features import FEATURE_COLUMNS, FeatureMatrix
@@ -23,7 +23,6 @@ __all__ = [
     "TradeDirection",
     "parse_corpus",
     "CrowdPumpEvent",
-    "ObservationPeriod",
     "build_event_sets",
     "DiffusionGraph",
     "build_graphs",

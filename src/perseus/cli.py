@@ -373,21 +373,12 @@ def _split(cfg: PipelineConfig) -> list[Path]:
 
 def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
     messages = _read("events", ingest.read_messages, cfg.out_dir / "messages.jsonl")
-    cap = timedelta(hours=cfg.event_cap_hours)
-    t0 = min(m.source_datetime for m in messages)
-    t1 = max(m.source_datetime for m in messages) + timedelta(seconds=1)
     if single_period:
-        periods = [events_mod.ObservationPeriod(start=t0, end=t1, label="all")]
-        kept = messages
+        period_of = lambda m: "all"
     else:
         plan = _read("events", read_json, cfg.out_dir / "split_plan.json", evaluation.SplitPlan.from_json)
-        periods = [
-            events_mod.ObservationPeriod(start=t0, end=plan.cut1, label="train"),
-            events_mod.ObservationPeriod(start=plan.cut1, end=plan.cut2, label="val"),
-            events_mod.ObservationPeriod(start=plan.cut2, end=t1, label="test"),
-        ]
-        kept = [m for m in messages if plan.split_of(m) is not None]
-    event_sets = events_mod.build_event_sets(kept, periods, cap)
+        period_of = plan.split_of
+    event_sets = events_mod.build_event_sets(messages, period_of, timedelta(hours=cfg.event_cap_hours))
     if not event_sets:
         raise DataError("events: no events produced from the corpus")
     return [write_jsonl(cfg.out_dir / "events.jsonl", events_mod.event_rows(event_sets))]
@@ -740,7 +731,7 @@ def _write_prices(
 
 
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:
-    corpus = synth_mod.generate_corpus(synth_config, with_prices=False)
+    corpus = synth_mod.generate_corpus(synth_config)
     ingest.write_raw_messages(cfg.corpus, corpus.raw_messages)
     if cfg.prices_dir is not None:
         prices_dir = Path(cfg.prices_dir)
@@ -861,8 +852,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 print(f"config error: synth: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            # A module global looked up at call time, so a wrapper set on it sees the call.
-            stage_synth(cfg, synth_config)
+            try:
+                # A module global looked up at call time, so a wrapper set on it sees the call.
+                stage_synth(cfg, synth_config)
+            except OSError as exc:
+                raise DataError(f"synth: {exc}") from exc
             return EXIT_OK
         for name in STAGE_ORDER if args.command == "all" else (args.command,):
             opts = {dest: getattr(args, dest) for dest in STAGES[name].options if dest in args}

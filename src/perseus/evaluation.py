@@ -14,11 +14,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+# A split keeps a token in a period exactly when that period's graph of the
+# token has enough spreaders to be built, so both use one minimum.
+from .diffusion import MIN_SPREADERS
 from .ingest import CrowdPumpMessage
 
 DEFAULT_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
-MIN_SPREADERS_PER_TOKEN = 4
 # Candidate cut indices per cut in the split search's coarse pass.
 SPLIT_COARSE_CELLS = 40
 SPLIT_NAMES = ("train", "val", "test")
@@ -167,8 +169,8 @@ def _token_census(chunk: Sequence[CrowdPumpMessage]) -> tuple[tuple[str, ...], t
     spreaders: dict[str, set[str]] = {}
     for m in chunk:
         spreaders.setdefault(m.cryptocurrency, set()).add(m.entity_id)
-    kept = tuple(sorted(c for c, s in spreaders.items() if len(s) >= MIN_SPREADERS_PER_TOKEN))
-    dropped = tuple(sorted(c for c, s in spreaders.items() if len(s) < MIN_SPREADERS_PER_TOKEN))
+    kept = tuple(sorted(c for c, s in spreaders.items() if len(s) >= MIN_SPREADERS))
+    dropped = tuple(sorted(c for c, s in spreaders.items() if len(s) < MIN_SPREADERS))
     return kept, dropped
 
 
@@ -191,7 +193,7 @@ def _earliest_ends(
     coins: Sequence[int], pairs: Sequence[int], starts: Iterable[int]
 ) -> dict[int, np.ndarray]:
     """Per start a: ends[c], the smallest e at which messages[a:e] holds
-    MIN_SPREADERS_PER_TOKEN distinct spreaders of coin c, or n + 1 if none.
+    MIN_SPREADERS distinct spreaders of coin c, or n + 1 if none.
 
     `coins[k]` and `pairs[k]` index message k's coin and (coin, spreader)
     pair. One backward pass keeps, per coin, the smallest first indices at or
@@ -210,8 +212,8 @@ def _earliest_ends(
             low[c].remove(first[p])
         first[p] = a
         low[c].insert(0, a)
-        del low[c][MIN_SPREADERS_PER_TOKEN:]
-        if len(low[c]) == MIN_SPREADERS_PER_TOKEN:
+        del low[c][MIN_SPREADERS:]
+        if len(low[c]) == MIN_SPREADERS:
             ends[c] = low[c][-1] + 1
         if a in wanted:
             out[a] = ends.copy()
@@ -226,7 +228,9 @@ def chronological_split(
 
     A token (cryptocurrency) counts toward a split only when at least four
     distinct spreaders announce it inside that split; weaker appearances are
-    dropped from the split and listed in the plan. The search scans a coarse
+    dropped from the split and listed in the plan. A cut never falls between
+    two messages of one timestamp, so `message_counts` are the messages
+    `SplitPlan.split_of` routes to each split. The search scans a coarse
     grid of candidate cut indices, then refines exhaustively around the best
     coarse cell, minimizing the L1 distance to the target fractions. Each
     candidate pair is scored from the per-coin earliest ends of its chunks'
@@ -246,13 +250,18 @@ def chronological_split(
     coins = [coin_ids.setdefault(m.cryptocurrency, len(coin_ids)) for m in msgs]
     pairs = [pair_ids.setdefault((m.cryptocurrency, m.entity_id), len(pair_ids)) for m in msgs]
     t0, t1, t2 = targets
+    # first[k]: the first message of k's timestamp run, where a cut at k moves.
+    first = list(range(n))
+    for k in range(1, n):
+        if msgs[k].source_datetime == msgs[k - 1].source_datetime:
+            first[k] = first[k - 1]
 
     def candidates(lo: int, hi: int, budget: int) -> list[int]:
         span = range(max(1, lo), min(n - 1, hi) + 1)
-        if len(span) <= budget:
-            return list(span)
-        step = len(span) / budget
-        return sorted({span[int(k * step)] for k in range(budget)})
+        if len(span) > budget:
+            step = len(span) / budget
+            span = [span[int(k * step)] for k in range(budget)]
+        return sorted({first[k] for k in span} - {0})
 
     def scan(ci: list[int], cj: list[int]) -> tuple[float, int, int]:
         """Best (error, i, j): the first minimum in row-major (ci, cj) order."""

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .ingest import CrowdPumpMessage, TradeDirection
 from .jsonfile import read_jsonl
@@ -24,20 +24,6 @@ IDENTICAL_TEXT_MIN_CHANNELS = 2
 
 REASON_SAME_SECOND = "same_second"
 REASON_IDENTICAL_TEXT = "identical_text"
-
-
-@dataclass(frozen=True)
-class ObservationPeriod:
-    start: datetime
-    end: datetime
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(f"period {self.label!r}: start must precede end")
-
-    def contains(self, when: datetime) -> bool:
-        return self.start <= when < self.end
 
 
 @dataclass(frozen=True)
@@ -149,28 +135,23 @@ def segment_events(
 
 def build_event_sets(
     messages: Sequence[CrowdPumpMessage],
-    periods: Sequence[ObservationPeriod],
+    period_of: Callable[[CrowdPumpMessage], Optional[str]],
     cap: timedelta = GAP_CAP,
 ) -> dict[tuple[str, str], list[CrowdPumpEvent]]:
     """Segment a whole corpus into per-(period, coin) event sets.
 
+    `period_of` names each message's period, or None to leave it out.
     Messages are grouped by (period, coin, direction); each group gets its own
     gap threshold from its own gaps (the cap alone when the group has a single
     message). Long and short events for the same coin are pooled into the
     coin's event set, ordered by first-message time. Event ids are unique
     across the whole result.
     """
-    for i, a in enumerate(periods):
-        for b in periods[i + 1:]:
-            if a.start < b.end and b.start < a.end:
-                raise ValueError(f"periods {a.label!r} and {b.label!r} overlap")
-
     groups: dict[tuple[str, str, TradeDirection], list[CrowdPumpMessage]] = defaultdict(list)
     for message in messages:
-        for period in periods:
-            if period.contains(message.source_datetime):
-                groups[(period.label, message.cryptocurrency, message.trade_direction)].append(message)
-                break
+        period = period_of(message)
+        if period is not None:
+            groups[(period, message.cryptocurrency, message.trade_direction)].append(message)
 
     out: dict[tuple[str, str], list[CrowdPumpEvent]] = defaultdict(list)
     next_id = 0

@@ -16,20 +16,14 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import (
-    CrowdPumpMessage,
-    RawMessage,
-    SkipReport,
-    parse_corpus,
-    raw_message_to_json,
-)
+from .ingest import CrowdPumpMessage, RawMessage, parse_corpus, raw_message_to_json
 from .jsonfile import read_json, write_json
 from .market import PriceSeries
 
@@ -423,27 +417,17 @@ class SynthCorpus:
     raw_messages: list[RawMessage]
     plans: list[CascadePlan]
     messages: list[CrowdPumpMessage]
-    skip_report: SkipReport
-    prices: dict[str, PriceSeries] = field(default_factory=dict)
 
 
-def generate_corpus(config: SynthConfig, with_prices: bool = True) -> SynthCorpus:
-    """Network, cascades, parsed messages and (optionally) price series."""
+def generate_corpus(config: SynthConfig) -> SynthCorpus:
+    """Network, cascades and parsed messages; `generate_prices` makes the
+    price series from the messages."""
     truth = generate_network(config)
     raw, plans = generate_cascades(truth, config)
     messages, report = parse_corpus(raw_message_to_json(m) for m in raw)
     if report.total:
         raise AssertionError(f"synthetic corpus failed to parse cleanly: {report.as_dict()}")
-    prices = generate_prices(messages, config) if with_prices else {}
-    return SynthCorpus(
-        config=config,
-        truth=truth,
-        raw_messages=raw,
-        plans=plans,
-        messages=messages,
-        skip_report=report,
-        prices=prices,
-    )
+    return SynthCorpus(config=config, truth=truth, raw_messages=raw, plans=plans, messages=messages)
 
 
 def score_edge_recovery(

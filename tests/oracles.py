@@ -486,7 +486,8 @@ def _plan_error(plan, targets):
 
 def reference_chronological_split(messages, targets=(0.70, 0.15, 0.15)):
     """The per-pair split search: every candidate cut pair re-counts the
-    spreaders of all three chunks through `_plan_for`."""
+    spreaders of all three chunks through `_plan_for`. A candidate cut inside
+    a run of equal timestamps moves to the run's first message."""
     if len(targets) != 3 or abs(sum(targets) - 1.0) > 1e-9:
         raise ValueError("targets must be three fractions summing to 1")
     msgs = sorted(messages, key=lambda m: (m.source_datetime, m.pid))
@@ -498,11 +499,17 @@ def reference_chronological_split(messages, targets=(0.70, 0.15, 0.15)):
         )
 
     def candidates(lo, hi, budget):
+        """The grid indices, each moved back to the earliest message that
+        shares its timestamp; a cut at index 0 is no cut and goes."""
         span = range(max(1, lo), min(n - 1, hi) + 1)
-        if len(span) <= budget:
-            return list(span)
-        step = len(span) / budget
-        return sorted({span[int(k * step)] for k in range(budget)})
+        if len(span) > budget:
+            step = len(span) / budget
+            span = sorted({span[int(k * step)] for k in range(budget)})
+        snapped = {
+            next(a for a in range(n) if msgs[a].source_datetime == msgs[k].source_datetime)
+            for k in span
+        }
+        return sorted(snapped - {0})
 
     def scan(ci, cj):
         best = (math.inf, -1, -1)

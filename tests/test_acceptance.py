@@ -29,7 +29,7 @@ from perseus.evaluation import (
     roc_auc,
     threshold_sweep,
 )
-from perseus.events import ObservationPeriod, build_event_sets, flag_concurrent_broadcasts
+from perseus.events import build_event_sets, flag_concurrent_broadcasts
 from perseus.features import Standardizer, assemble_matrix, compute_feature_rows
 from perseus.features.centrality import betweenness, closeness, clustering, pagerank
 from perseus.features.community import louvain
@@ -46,7 +46,7 @@ from perseus.gnn import (
 )
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.market import compute_outcomes
-from perseus.synth import SynthConfig, generate_corpus, score_edge_recovery
+from perseus.synth import SynthConfig, generate_corpus, generate_prices, score_edge_recovery
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -84,9 +84,7 @@ def events_from_schedule(schedule):
     """One event per cascade: cascades sit 500 h apart, members 1 h apart."""
     messages = [spreader_message(c, h) for cascade in schedule for c, h in cascade]
     messages.sort(key=lambda m: (m.source_datetime, m.pid))
-    horizon = max(h for cascade in schedule for _, h in cascade) + 1
-    period = ObservationPeriod(T0, T0 + timedelta(hours=horizon), "all")
-    return build_event_sets(messages, [period])[("all", "SUI")]
+    return build_event_sets(messages, lambda m: "all")[("all", "SUI")]
 
 
 def make_graph_data(weighted, x, y, graph_id="g"):
@@ -114,12 +112,10 @@ def pipeline_matrices(seed):
     """Synthetic corpus for one seed, run through the real pipeline stages."""
     cfg = SynthConfig(seed=seed, n_coins=2, n_events=20)
     corpus = generate_corpus(cfg)
-    lo = min(m.source_datetime for m in corpus.messages)
-    hi = max(m.source_datetime for m in corpus.messages)
-    period = ObservationPeriod(lo, hi + timedelta(seconds=1), "all")
-    event_sets = build_event_sets(corpus.messages, [period])
+    event_sets = build_event_sets(corpus.messages, lambda m: "all")
     graphs, _ = build_graphs(event_sets)
-    series_by_coin = {pair[:-4]: series for pair, series in corpus.prices.items()}
+    prices = generate_prices(corpus.messages, cfg)
+    series_by_coin = {pair[:-4]: series for pair, series in prices.items()}
     outcomes, _ = compute_outcomes(corpus.messages, series_by_coin)
     out = []
     for gid in sorted(graphs):
@@ -279,11 +275,8 @@ def test_03_synthetic_edge_recovery():
     cfg = SynthConfig(
         n_spreaders=50, n_masterminds=5, n_events=200, n_coins=1, forward_prob=0.5, seed=0
     )
-    corpus = generate_corpus(cfg, with_prices=False)
-    lo = min(m.source_datetime for m in corpus.messages)
-    hi = max(m.source_datetime for m in corpus.messages)
-    period = ObservationPeriod(lo, hi + timedelta(seconds=1), "all")
-    graphs, _ = build_graphs(build_event_sets(corpus.messages, [period]))
+    corpus = generate_corpus(cfg)
+    graphs, _ = build_graphs(build_event_sets(corpus.messages, lambda m: "all"))
     (g,) = graphs.values()
     precision = score_edge_recovery(g.weighted, g.nodes, corpus.truth, directed=g.directed)
     elapsed = time.perf_counter() - t0
@@ -547,9 +540,7 @@ def test_10_fixture_qualitative_checks():
     # SUI: the two labeled masterminds take the two highest probabilities
     lines = (FIXTURES / "sui_case.jsonl").read_text().splitlines()
     messages, _ = parse_corpus(lines)
-    start = min(m.source_datetime for m in messages)
-    period = ObservationPeriod(start, start + timedelta(days=30), "all")
-    event_sets = build_event_sets(messages, [period])
+    event_sets = build_event_sets(messages, lambda m: "all")
     graphs, _ = build_graphs(event_sets)
     g = graphs["all/SUI"]
     by_spreader = {}
@@ -579,9 +570,7 @@ def test_10_fixture_qualitative_checks():
     # STORJ: one same-second flag covering all six simultaneous channels
     lines = (FIXTURES / "storj_case.jsonl").read_text().splitlines()
     messages, _ = parse_corpus(lines)
-    start = min(m.source_datetime for m in messages)
-    period = ObservationPeriod(start, start + timedelta(days=30), "all")
-    flags = flag_concurrent_broadcasts(build_event_sets(messages, [period])[("all", "STORJ")])
+    flags = flag_concurrent_broadcasts(build_event_sets(messages, lambda m: "all")[("all", "STORJ")])
     storj_ok = (
         len(flags) == 1
         and "same_second" in flags[0].reasons

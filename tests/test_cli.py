@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the installed CLI entry point."""
 
 import csv
+import errno
 import gc
 import json
 import math
@@ -19,7 +20,7 @@ from perseus import cli, ingest, market
 from perseus import synth as synth_mod
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
 from perseus.features import FEATURE_COLUMNS
-from perseus.synth import SynthConfig, generate_corpus, write_labels, write_truth
+from perseus.synth import SynthConfig, generate_corpus, generate_prices, write_labels, write_truth
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -543,7 +544,7 @@ def small_synth_files(tmp_path_factory):
     ingest.write_raw_messages(out / "corpus.jsonl", corpus.raw_messages)
     write_labels(out / "labels.json", corpus.truth.labels)
     write_truth(out / "truth.json", corpus.truth)
-    for pair, series in corpus.prices.items():
+    for pair, series in generate_prices(corpus.messages, SMALL_SYNTH).items():
         market.write_price_csv(out / f"{pair}.csv", series)
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -577,19 +578,19 @@ def test_synth_files_do_not_depend_on_the_cpu_count(
 
 @pytest.mark.parametrize("share", [0, 1], ids=["this_process", "worker"])
 def test_a_failed_price_write_surfaces_and_leaves_no_process(
-    tmp_path, monkeypatch, small_synth_files, share
+    tmp_path, monkeypatch, capsys, small_synth_files, share
 ):
     pairs = sorted(name for name in small_synth_files if name.endswith(".csv"))
-    raised = []
-    for cpus, out in [(1, tmp_path / "serial"), (2, tmp_path / "parallel")]:
+    for cpus in (1, 2):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
         # With 2 CPUs, share 0 is this process's and share 1 the worker's.
-        (out / "data" / "prices" / pairs[share]).mkdir(parents=True)
-        with pytest.raises(OSError) as exc:
-            main(["synth", "--out", str(out), *SMALL_SYNTH_ARGS])
-        raised.append(exc.type)
+        blocked = out / "data" / "prices" / pairs[share]
+        blocked.mkdir(parents=True)
+        assert main(["synth", "--out", str(out), *SMALL_SYNTH_ARGS]) == 3
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
+        assert capsys.readouterr().err == f"data error: synth: {error}\n"
         assert multiprocessing.active_children() == []
-    assert raised[0] is raised[1] is IsADirectoryError
 
 
 def test_cpu_count_falls_back_to_one(monkeypatch):

@@ -24,7 +24,7 @@ from perseus.diffusion import (
     load_graph,
     save_graph,
 )
-from perseus.events import ObservationPeriod, build_event_sets
+from perseus.events import build_event_sets
 from perseus.ingest import CrowdPumpMessage, TradeDirection
 from perseus.synth import SynthConfig, generate_corpus
 
@@ -53,9 +53,7 @@ def events_from(schedule, coin="SUI"):
     """Events for a list of cascades, each a list of (channel, hour)."""
     messages = [msg(c, h, coin) for cascade in schedule for c, h in cascade]
     messages.sort(key=lambda m: (m.source_datetime, m.pid))
-    horizon = max(h for cascade in schedule for _, h in cascade) + 1
-    period = ObservationPeriod(T0, T0 + timedelta(hours=horizon), "all")
-    sets = build_event_sets(messages, [period])
+    sets = build_event_sets(messages, lambda m: "all")
     return sets[("all", coin)]
 
 
@@ -298,11 +296,8 @@ def test_bit_identical_to_the_pair_loops_on_tie_heavy_schedules():
     ids=["default", "msg_dense", "price_long", "graph_wide"],
 )
 def test_bit_identical_to_the_pair_loops_on_synthetic_corpora(config):
-    messages = generate_corpus(config, with_prices=False).messages
-    lo = min(m.source_datetime for m in messages)
-    hi = max(m.source_datetime for m in messages)
-    period = ObservationPeriod(lo, hi + timedelta(seconds=1), "all")
-    event_sets = build_event_sets(messages, [period])
+    messages = generate_corpus(config).messages
+    event_sets = build_event_sets(messages, lambda m: "all")
     assert event_sets
     for events in event_sets.values():
         if len({e for event in events for e in event.spreaders}) >= 4:

@@ -273,6 +273,12 @@ def test_split_matches_the_per_pair_oracle():
         want = split_outcome(oracles.reference_chronological_split, corpus, targets)
         assert got == want, (trial, got, want)
         outcomes.append(type(got))
+        if isinstance(got, SplitPlan):
+            # split_of's timestamp rule, tokens aside, routes what the plan counts.
+            routed = [0, 0, 0]
+            for m in corpus:
+                routed[(m.source_datetime >= got.cut1) + (m.source_datetime >= got.cut2)] += 1
+            assert tuple(routed) == got.message_counts, (trial, routed, got)
     # both the feasible and the infeasible branch are exercised
     assert str in outcomes and SplitPlan in outcomes
 
@@ -299,7 +305,7 @@ def split_plan_records():
     records = {}
     for shape, sizes in SPLIT_SHAPES.items():
         for seed in range(3):
-            corpus = synth.generate_corpus(synth.SynthConfig(seed=seed, **sizes), with_prices=False)
+            corpus = synth.generate_corpus(synth.SynthConfig(seed=seed, **sizes))
             plan = chronological_split(corpus.messages)
             records[f"{shape}/{seed}"] = {
                 "cut1": plan.cut1.isoformat(),

@@ -11,7 +11,6 @@ from perseus.events import (
     GAP_CAP,
     BroadcastFlag,
     CrowdPumpEvent,
-    ObservationPeriod,
     build_event_sets,
     compute_gap_threshold,
     event_rows,
@@ -20,6 +19,7 @@ from perseus.events import (
     read_events,
     segment_events,
 )
+from perseus.evaluation import SplitPlan
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.jsonfile import write_jsonl
 
@@ -28,6 +28,11 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "f
 T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 _pid = iter(range(1, 100000))
+
+
+def one_period(message):
+    """Every message in the one period `all`, as `events --single-period` routes."""
+    return "all"
 
 
 def msg(channel, hours, coin="SUI", direction=TradeDirection.LONG, text="t"):
@@ -149,14 +154,13 @@ def test_event_validation():
 
 
 def test_build_event_sets_pools_directions_under_one_coin_key():
-    period = ObservationPeriod(T0, T0 + timedelta(days=30), "all")
     stream = [
         msg("a", 0, direction=TradeDirection.LONG),
         msg("b", 1, direction=TradeDirection.LONG),
         msg("c", 5, direction=TradeDirection.SHORT),
         msg("d", 6, direction=TradeDirection.SHORT),
     ]
-    sets = build_event_sets(stream, [period])
+    sets = build_event_sets(stream, one_period)
     assert list(sets) == [("all", "SUI")]
     events = sets[("all", "SUI")]
     assert len(events) == 2
@@ -166,46 +170,36 @@ def test_build_event_sets_pools_directions_under_one_coin_key():
 
 
 def test_build_event_sets_respects_period_boundaries():
-    cut = T0 + timedelta(hours=10)
-    periods = [
-        ObservationPeriod(T0, cut, "early"),
-        ObservationPeriod(cut, T0 + timedelta(days=10), "late"),
-    ]
-    stream = [msg("a", 0), msg("b", 5), msg("c", 10), msg("d", 11)]
-    sets = build_event_sets(stream, periods)
-    assert {m.entity_id for e in sets[("early", "SUI")] for m in e.messages} == {"a", "b"}
-    # the message at exactly the cut belongs to the later half-open period
-    assert {m.entity_id for e in sets[("late", "SUI")] for m in e.messages} == {"c", "d"}
+    cut1, cut2 = T0 + timedelta(hours=10), T0 + timedelta(hours=20)
+    plan = SplitPlan(
+        cut1, cut2, (0.5, 0.5, 0.0), (("SUI",), ("SUI",), ()), ((), (), ("SUI",)), (2, 2, 1)
+    )
+    stream = [msg("a", 0), msg("b", 5), msg("c", 10), msg("d", 11), msg("e", 20)]
+    sets = build_event_sets(stream, plan.split_of)
+    assert {m.entity_id for e in sets[("train", "SUI")] for m in e.messages} == {"a", "b"}
+    # the message at exactly the cut belongs to the later split
+    assert {m.entity_id for e in sets[("val", "SUI")] for m in e.messages} == {"c", "d"}
+    # SUI was dropped from test, so its message there is left out
+    assert list(sets) == [("train", "SUI"), ("val", "SUI")]
 
 
 def test_messages_outside_every_period_are_dropped():
-    period = ObservationPeriod(T0, T0 + timedelta(hours=1), "tiny")
-    sets = build_event_sets([msg("a", 0), msg("b", 5)], [period])
+    def tiny(message):
+        return "tiny" if message.source_datetime < T0 + timedelta(hours=1) else None
+
+    sets = build_event_sets([msg("a", 0), msg("b", 5)], tiny)
     assert [m.entity_id for e in sets[("tiny", "SUI")] for m in e.messages] == ["a"]
 
 
 def test_single_message_group_becomes_one_event():
-    period = ObservationPeriod(T0, T0 + timedelta(days=30), "all")
-    sets = build_event_sets([msg("a", 0)], [period])
+    sets = build_event_sets([msg("a", 0)], one_period)
     (event,) = sets[("all", "SUI")]
     assert [m.entity_id for m in event.messages] == ["a"]
 
 
-def test_overlapping_periods_are_rejected():
-    with pytest.raises(ValueError):
-        build_event_sets(
-            [msg("a", 0)],
-            [
-                ObservationPeriod(T0, T0 + timedelta(days=2), "x"),
-                ObservationPeriod(T0 + timedelta(days=1), T0 + timedelta(days=3), "y"),
-            ],
-        )
-
-
 def test_rank_ties_break_by_entity_id():
-    period = ObservationPeriod(T0, T0 + timedelta(days=1), "all")
     stream = [msg("zeta", 0), msg("alpha", 0), msg("mid", 0)]
-    sets = build_event_sets(stream, [period])
+    sets = build_event_sets(stream, one_period)
     (event,) = sets[("all", "SUI")]
     assert [m.entity_id for m in event.messages] == ["alpha", "mid", "zeta"]
 
@@ -259,8 +253,7 @@ def test_storj_fixture_carries_the_six_channel_same_second_flag():
     lines = (FIXTURES / "storj_case.jsonl").read_text().splitlines()
     messages, _ = parse_corpus(lines)
     start = min(m.source_datetime for m in messages)
-    period = ObservationPeriod(start, start + timedelta(days=30), "all")
-    sets = build_event_sets(messages, [period])
+    sets = build_event_sets(messages, one_period)
     events = sets[("all", "STORJ")]
     assert [len(e.messages) for e in events] == [1, 8]
     flags = flag_concurrent_broadcasts(events)
@@ -279,9 +272,8 @@ def test_storj_fixture_carries_the_six_channel_same_second_flag():
 
 
 def test_event_file_round_trip(tmp_path):
-    period = ObservationPeriod(T0, T0 + timedelta(days=30), "all")
     stream = [msg("a", 0), msg("b", 1), msg("c", 100)]
-    sets = build_event_sets(stream, [period])
+    sets = build_event_sets(stream, one_period)
     path = tmp_path / "events.jsonl"
     write_jsonl(path, event_rows(sets))
     by_pid = {m.pid: m for m in stream}
@@ -290,10 +282,9 @@ def test_event_file_round_trip(tmp_path):
 
 
 def test_an_event_naming_an_unknown_pid_is_named_by_line(tmp_path):
-    period = ObservationPeriod(T0, T0 + timedelta(days=30), "all")
     stream = [msg("a", 0), msg("b", 1), msg("c", 100)]
     path = tmp_path / "events.jsonl"
-    write_jsonl(path, event_rows(build_event_sets(stream, [period])))
+    write_jsonl(path, event_rows(build_event_sets(stream, one_period)))
     by_pid = {m.pid: m for m in stream[:-1]}
     with pytest.raises(ValueError, match=rf"events.jsonl:2: unknown pid {stream[-1].pid}$"):
         read_events(path, by_pid)

@@ -326,12 +326,10 @@ def test_louvain_matches_exhaustive_argmax_on_the_triangle_pair():
 def test_sui_fixture_forms_two_communities():
     lines = (FIXTURES / "sui_case.jsonl").read_text().splitlines()
     messages, _ = parse_corpus(lines)
-    from perseus.events import ObservationPeriod, build_event_sets
+    from perseus.events import build_event_sets
     from perseus.diffusion import build_graphs
 
-    start = min(m.source_datetime for m in messages)
-    period = ObservationPeriod(start, start + timedelta(days=30), "all")
-    sets = build_event_sets(messages, [period])
+    sets = build_event_sets(messages, lambda m: "all")
     graphs, _ = build_graphs(sets)
     g = graphs["all/SUI"]
     part = louvain(g.weighted)

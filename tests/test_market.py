@@ -24,7 +24,7 @@ from perseus.market import (
     price_at,
     write_price_csv,
 )
-from perseus.synth import SynthConfig, generate_corpus
+from perseus.synth import SynthConfig, generate_corpus, generate_prices
 
 T0 = datetime(2024, 3, 1, 10, 0, 0, tzinfo=timezone.utc)
 
@@ -295,7 +295,7 @@ def test_header_only_price_file_is_an_empty_series_without_a_warning(tmp_path):
 
 def test_price_writer_matches_the_row_loop_and_round_trips(tmp_path):
     config = SynthConfig(n_spreaders=8, n_masterminds=2, n_events=6, n_coins=2, seed=4)
-    prices = generate_corpus(config).prices
+    prices = generate_prices(generate_corpus(config).messages, config)
     assert prices
     for pair, s in prices.items():
         path, ref = tmp_path / f"{pair}.csv", tmp_path / f"{pair}.ref"

@@ -24,7 +24,8 @@ SMALL = SynthConfig(n_spreaders=12, n_masterminds=2, n_events=8, n_coins=2, seed
 
 
 def coin_series(corpus):
-    return {normalize_symbol(pair): s for pair, s in corpus.prices.items()}
+    prices = generate_prices(corpus.messages, corpus.config)
+    return {normalize_symbol(pair): s for pair, s in prices.items()}
 
 
 def test_generation_is_byte_deterministic():
@@ -34,11 +35,12 @@ def test_generation_is_byte_deterministic():
         raw_message_to_json(m) for m in b.raw_messages
     ]
     assert a.truth == b.truth
-    assert set(a.prices) == set(b.prices)
-    for pair in a.prices:
-        np.testing.assert_array_equal(a.prices[pair].price, b.prices[pair].price)
-        np.testing.assert_array_equal(a.prices[pair].ts, b.prices[pair].ts)
-        np.testing.assert_array_equal(a.prices[pair].volume, b.prices[pair].volume)
+    pa, pb = generate_prices(a.messages, SMALL), generate_prices(b.messages, SMALL)
+    assert set(pa) == set(pb)
+    for pair in pa:
+        np.testing.assert_array_equal(pa[pair].price, pb[pair].price)
+        np.testing.assert_array_equal(pa[pair].ts, pb[pair].ts)
+        np.testing.assert_array_equal(pa[pair].volume, pb[pair].volume)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +63,7 @@ def test_generation_is_byte_deterministic():
     f"-bar{c.bar_minutes}-drift{c.price_drift}",
 )
 def test_prices_match_the_reference_bar_loop(config):
-    messages = generate_corpus(config, with_prices=False).messages
+    messages = generate_corpus(config).messages
     got = generate_prices(messages, config)
     want = oracles.reference_generate_prices(messages, config)
     assert list(got) == list(want)
@@ -91,7 +93,7 @@ def test_full_forwarding_reaches_the_closure():
     config = SynthConfig(
         n_spreaders=10, n_masterminds=2, n_events=4, n_coins=1, forward_prob=1.0, seed=5
     )
-    corpus = generate_corpus(config, with_prices=False)
+    corpus = generate_corpus(config)
     reach = {}
     for plan in corpus.plans:
         if plan.root not in reach:
@@ -213,7 +215,7 @@ def test_truth_and_labels_round_trip(tmp_path):
 
 
 def test_texts_differ_across_channels_in_one_event():
-    corpus = generate_corpus(SMALL, with_prices=False)
+    corpus = generate_corpus(SMALL)
     by_time = {}
     for m in corpus.raw_messages:
         by_time.setdefault(m.timestamp, []).append(m.text)
