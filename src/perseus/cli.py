@@ -47,6 +47,7 @@ from .gnn import (
     VARIANTS,
     GraphData,
     ModelConfig,
+    ModelConfigError,
     load_params,
     predict,
     read_history_csv,
@@ -146,14 +147,6 @@ _FIELDS: dict[str, tuple] = {
 
 # Every model field has a default, whose type is the type the config must give.
 _MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig)}
-# Checked once ModelConfig's own checks pass: (rule, what it says when broken).
-_MODEL_RANGES = {
-    "hidden_channels": (lambda v: v >= 1, "must be positive"),
-    "learning_rate": (lambda v: v > 0, "must be positive"),
-    "epochs": (lambda v: v >= 1, "must be positive"),
-    "threshold": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    "seed": (lambda v: v >= 0, "must be non-negative"),
-}
 
 
 def build_config(
@@ -200,12 +193,8 @@ def build_config(
             model_kwargs[key] = kind(value)
     try:
         model = ModelConfig(**model_kwargs)
-    except ValueError as exc:
-        problems.append(f"model: {exc}")
-    else:
-        for key, (rule, broken) in _MODEL_RANGES.items():
-            if not rule(getattr(model, key)):
-                problems.append(f"model.{key}: {broken}")
+    except ModelConfigError as exc:
+        problems += [f"model.{problem}" for problem in exc.problems]
 
     if problems:
         raise ConfigError(problems)
@@ -432,7 +421,13 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     communities = {}
     for graph_id in sorted(graphs):
         graph = graphs[graph_id]
-        rows = compute_feature_rows(graph, by_graph_spreader.get(graph_id, {}), outcomes)
+        by_spreader = by_graph_spreader.get(graph_id, {})
+        if set(graph.nodes) != set(by_spreader):
+            raise DataError(
+                f"featurize: graph {graph_id}: its nodes are not the spreaders of its events "
+                f"in {cfg.out_dir / 'events.jsonl'}"
+            )
+        rows = compute_feature_rows(graph, by_spreader, outcomes)
         graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
         by_period.setdefault(graph.period, []).append(assemble_matrix(graph, rows, graph_labels))
         partition = louvain(graph.weighted)
@@ -553,6 +548,14 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
     }
     history_path = cfg.out_dir / "history.csv"
     history = _read("evaluate", read_history_csv, history_path) if history_path.exists() else None
+    model_path = cfg.out_dir / "model.json"
+    if history is not None and model_path.exists():
+        epochs = _read("evaluate", load_params, model_path)[1].epochs
+        if len(history) != epochs:
+            raise DataError(
+                f"evaluate: {history_path}: {len(history)} epoch rows, but {model_path} "
+                f"was trained for {epochs} epochs"
+            )
     timing_path = cfg.out_dir / "inference_timing.json"
     samples = []
     if timing_path.exists():
@@ -671,7 +674,7 @@ STAGES: dict[str, Stage] = {
         "metrics, sweeps, t-tests, timing report",
         _evaluate,
         reads=("predictions.jsonl", _split_features),
-        reads_if_present=("history.csv", "inference_timing.json", "flags.jsonl"),
+        reads_if_present=("history.csv", "model.json", "inference_timing.json", "flags.jsonl"),
         keys=("threshold_grid", "model.threshold", "split"),
         options=SPLIT_OPTION,
     ),

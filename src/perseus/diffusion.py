@@ -18,7 +18,6 @@ binary orientation keeps r -> s only where the weight beats its reverse.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -49,8 +48,16 @@ class DiffusionGraph:
     period: str
     nodes: tuple[str, ...]
     weighted: np.ndarray   # W, floats in [0, 1]
-    directed: np.ndarray   # W*, 0/1 ints
-    event_participation: dict[str, frozenset[int]]
+
+    @property
+    def directed(self) -> np.ndarray:
+        """W*, 0/1 ints: derive_directed(weighted), computed on each read.
+
+        A loaded graph derives it from the stored nine-decimal weights.
+        Rounding is monotone, so it can turn a pair closer than 1e-9 into a
+        tie (no arrow) but never flip an arrow.
+        """
+        return derive_directed(self.weighted)
 
     @property
     def n(self) -> int:
@@ -77,24 +84,19 @@ def lambda_matrix(k: int) -> np.ndarray:
 
 def infer_weighted(
     events: Sequence[CrowdPumpEvent], mode: str = AGG_PRODUCT
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, frozenset[int]]]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Infer the weighted adjacency over all spreaders seen in `events`.
 
-    Returns (nodes sorted by entity id, W normalized to [0, 1], event
-    participation). Raises GraphTooSmall below MIN_SPREADERS spreaders.
+    Returns (nodes sorted by entity id, W normalized to [0, 1]). Raises
+    GraphTooSmall below MIN_SPREADERS spreaders.
     """
     if mode not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    participation: dict[str, set[int]] = defaultdict(set)
-    for event in events:
-        for entity in event.spreaders:
-            participation[entity].add(event.event_id)
-    nodes = tuple(sorted(participation))
+    nodes = tuple(sorted({entity for event in events for entity in event.spreaders}))
     if len(nodes) < MIN_SPREADERS:
         coin = events[0].cryptocurrency if events else "?"
         raise GraphTooSmall(coin, len(nodes))
     index = {entity: i for i, entity in enumerate(nodes)}
-    frozen = {entity: frozenset(ids) for entity, ids in participation.items()}
 
     lam_sum = np.zeros((len(nodes), len(nodes)))
     incidence = np.zeros((len(nodes), len(events)))
@@ -115,7 +117,7 @@ def infer_weighted(
         raw = np.divide(theta, lam_sum, out=np.zeros_like(theta), where=lam_sum > 0)
     peak = raw.max()
     weighted = raw / peak if peak > 0 else raw
-    return nodes, weighted, frozen
+    return nodes, weighted
 
 
 def derive_directed(weighted: np.ndarray) -> np.ndarray:
@@ -129,15 +131,8 @@ def build_graph(
     events: Sequence[CrowdPumpEvent],
     mode: str = AGG_PRODUCT,
 ) -> DiffusionGraph:
-    nodes, weighted, participation = infer_weighted(events, mode=mode)
-    return DiffusionGraph(
-        cryptocurrency=coin,
-        period=period,
-        nodes=nodes,
-        weighted=weighted,
-        directed=derive_directed(weighted),
-        event_participation=participation,
-    )
+    nodes, weighted = infer_weighted(events, mode=mode)
+    return DiffusionGraph(cryptocurrency=coin, period=period, nodes=nodes, weighted=weighted)
 
 
 def build_graphs(
@@ -163,7 +158,7 @@ def build_graphs(
 # entry, and index.json: {"graphs": [{period, coin}], "dropped": [{period,
 # cryptocurrency, spreaders}]}.
 
-GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv", ".directed.tsv", ".events.json")
+GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv")
 INDEX = "index.json"
 
 
@@ -172,15 +167,15 @@ def _tables(directory: Path, coin: str) -> list[Path]:
 
 
 def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
-    """Write nodes/weighted/directed files for one graph under `directory`.
+    """Write the nodes and weighted files of one graph under `directory`.
 
     Weighted edges go to a src<TAB>dst<TAB>weight TSV with nine decimal
-    places; directed edges to a src<TAB>dst TSV; the node index maps row
-    number to entity id.
+    places; the node index maps row number to entity id. The orientation is
+    not stored, as it is a function of the weights (DiffusionGraph.directed).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    nodes_path, weighted_path, directed_path, events_path = _tables(directory, graph.cryptocurrency)
+    nodes_path, weighted_path = _tables(directory, graph.cryptocurrency)
     with open(nodes_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{i}\t{entity}\n" for i, entity in enumerate(graph.nodes))
     nodes, weighted = graph.nodes, graph.weighted
@@ -189,10 +184,6 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
             f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:.9f}\n"
             for r, s in zip(*np.nonzero(weighted > 0))
         )
-    with open(directed_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{nodes[r]}\t{nodes[s]}\n" for r, s in zip(*np.nonzero(graph.directed)))
-    participation = {entity: sorted(ids) for entity, ids in graph.event_participation.items()}
-    write_json(events_path, participation, indent=None)
 
 
 def save_graphs(
@@ -234,7 +225,7 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
     """Read the files save_graph wrote; a malformed line (wrong field count,
     unknown entity, non-finite weight) raises ValueError naming it."""
     directory = Path(directory)
-    nodes_path, weighted_path, directed_path, events_path = _tables(directory, coin)
+    nodes_path, weighted_path = _tables(directory, coin)
     nodes: list[str] = []
     path, number = nodes_path, 0
     try:
@@ -251,29 +242,11 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
                 weighted[index[src], index[dst]] = weight = float(w)
                 if not math.isfinite(weight):
                     raise ValueError(f"weight {w!r} is not a finite number")
-        directed = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
-        path = directed_path
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                src, dst = line.rstrip("\n").split("\t")
-                directed[index[src], index[dst]] = 1
     except KeyError as exc:
         raise ValueError(f"{path}:{number}: unknown entity {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
-    participation = read_json(
-        events_path, lambda loaded: {entity: frozenset(ids) for entity, ids in loaded.items()}
-    )
-    return DiffusionGraph(
-        cryptocurrency=coin,
-        period=period,
-        nodes=tuple(nodes),
-        weighted=weighted,
-        directed=directed,
-        event_participation=participation,
-    )
+    return DiffusionGraph(cryptocurrency=coin, period=period, nodes=tuple(nodes), weighted=weighted)
 
 
 def load_graphs(root: Path | str) -> dict[str, DiffusionGraph]:

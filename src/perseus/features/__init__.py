@@ -121,8 +121,6 @@ def compute_feature_rows(
 @dataclass
 class FeatureMatrix:
     graph_id: str
-    cryptocurrency: str
-    period: str
     entity_ids: tuple[str, ...]
     x: np.ndarray  # (n, 23) raw or standardized
     y: np.ndarray  # (n,) 1 = mastermind
@@ -147,14 +145,7 @@ def assemble_matrix(
     if unlabeled:
         raise KeyError(f"{graph.graph_id}: no label for {', '.join(sorted(unlabeled))}")
     y = np.array([labels[e] for e in graph.nodes], dtype=int)
-    return FeatureMatrix(
-        graph_id=graph.graph_id,
-        cryptocurrency=graph.cryptocurrency,
-        period=graph.period,
-        entity_ids=graph.nodes,
-        x=rows,
-        y=y,
-    )
+    return FeatureMatrix(graph_id=graph.graph_id, entity_ids=graph.nodes, x=rows, y=y)
 
 
 @dataclass
@@ -205,7 +196,6 @@ def write_features_csv(path: Path | str, matrices: Sequence[FeatureMatrix]) -> N
 
 def read_features_csv(path: Path | str) -> list[FeatureMatrix]:
     grouped: dict[str, list[tuple[str, int, list[float]]]] = {}
-    order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -219,25 +209,16 @@ def read_features_csv(path: Path | str) -> list[FeatureMatrix]:
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            if graph_id not in grouped:
-                grouped[graph_id] = []
-                order.append(graph_id)
-            grouped[graph_id].append((entity, label, values))
-    out = []
-    for graph_id in order:
-        rows = grouped[graph_id]
-        period, _, coin = graph_id.rpartition("/")
-        out.append(
-            FeatureMatrix(
-                graph_id=graph_id,
-                cryptocurrency=coin,
-                period=period,
-                entity_ids=tuple(r[0] for r in rows),
-                x=np.array([r[2] for r in rows]),
-                y=np.array([r[1] for r in rows]),
-            )
+            grouped.setdefault(graph_id, []).append((entity, label, values))
+    return [
+        FeatureMatrix(
+            graph_id=graph_id,
+            entity_ids=tuple(r[0] for r in rows),
+            x=np.array([r[2] for r in rows]),
+            y=np.array([r[1] for r in rows]),
         )
-    return out
+        for graph_id, rows in grouped.items()
+    ]
 
 
 __all__ = [

@@ -39,6 +39,14 @@ VARIANTS = (VARIANT_WEIGHTED, VARIANT_DIRECTED)
 PARAMS_FORMAT_VERSION = 1
 
 
+class ModelConfigError(ValueError):
+    """Every rule a model config breaks, one "<field>: <problem>" each."""
+
+    def __init__(self, problems: Sequence[str]):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     architecture: str = ARCH_SAGE
@@ -51,12 +59,20 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.graph_variant not in VARIANTS:
-            raise ValueError(f"unknown graph variant {self.graph_variant!r}")
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be at least 1")
+        """Raises ModelConfigError naming every field that breaks its rule."""
+        rules = (
+            ("architecture", self.architecture in ARCHITECTURES, f"unknown {self.architecture!r}"),
+            ("graph_variant", self.graph_variant in VARIANTS, f"unknown {self.graph_variant!r}"),
+            ("hidden_channels", self.hidden_channels >= 1, "must be positive"),
+            ("num_layers", self.num_layers >= 1, "must be at least 1"),
+            ("learning_rate", self.learning_rate > 0, "must be positive"),
+            ("epochs", self.epochs >= 1, "must be positive"),
+            ("seed", self.seed >= 0, "must be non-negative"),
+            ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
+        )
+        problems = [f"{name}: {broken}" for name, ok, broken in rules if not ok]
+        if problems:
+            raise ModelConfigError(problems)
 
     def dims(self, in_dim: int) -> list[int]:
         return [in_dim] + [self.hidden_channels] * (self.num_layers - 1) + [1]

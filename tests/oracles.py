@@ -176,7 +176,7 @@ def reference_infer_weighted(events, mode="dani_product"):
         raw = np.divide(theta, lam_sum, out=np.zeros_like(theta), where=lam_sum > 0)
     peak = raw.max()
     weighted = raw / peak if peak > 0 else raw
-    return nodes, weighted, frozen
+    return nodes, weighted
 
 
 def reference_score_edge_recovery(weighted, nodes, truth, directed=None):

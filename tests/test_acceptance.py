@@ -201,12 +201,11 @@ def test_01_network_inference_matches_brute_force():
                         err = abs(lam[rank[r], rank[s]] * float(total) - float(h_ref[(r, s)]))
                         errs["h"] = max(errs["h"], err)
 
-        nodes, w, participation = infer_weighted(events)
+        nodes, w = infer_weighted(events)
         aligned &= nodes == ref["nodes"]
         # theta as infer_weighted forms it: I / (d_r + d_s - I), with I = P P^T
-        # over the spreader x event incidence of the participation it returns
-        event_ids = sorted({i for ids in participation.values() for i in ids})
-        incidence = np.array([[i in participation[n] for i in event_ids] for n in nodes], float)
+        # over the spreader x event incidence of the events built above
+        incidence = np.array([[n in event.spreaders for event in events] for n in nodes], float)
         shared = incidence @ incidence.T
         d = np.diag(shared)
         theta = shared / (d[:, None] + d[None, :] - shared)

@@ -252,7 +252,7 @@ def test_rerun_is_a_no_op(pipeline):
 GRAPH_FILES = [
     f"graphs/{graph}.{table}"
     for graph in ["test/COIN01", *(f"train/COIN0{i}" for i in range(6)), "val/COIN02"]
-    for table in ["directed.tsv", "events.json", "nodes.tsv", "weighted.tsv"]
+    for table in ["nodes.tsv", "weighted.tsv"]
 ]
 PRICE_FILES = [f"data/prices/COIN0{i}USDT.csv" for i in range(6)]
 # Per stage of the default synth run: the hash of its settings and the files
@@ -280,7 +280,7 @@ CACHE_KEYS = {
                *GRAPH_FILES, "model.json"]),
     "evaluate": ("d1b446664d4095207ba1bd86a1806551f3670862d2b8c7146d8d9517790ed297",
                  ["features/test.csv", "flags.jsonl", "history.csv", "inference_timing.json",
-                  "predictions.jsonl"]),
+                  "model.json", "predictions.jsonl"]),
 }
 
 
@@ -352,15 +352,32 @@ def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     assert "data error: featurize:" in err and path.name in err
 
 
-def test_bad_graph_file_fails_with_exit_3(settled, capsys):
+def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
+    """A malformed graph table, and graphs that events.jsonl no longer
+    matches (emptied, or one graph's events removed), stop featurize."""
     index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
-    path = settled / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
-    line = len(path.read_text().splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("ghost\tnobody\t0.5\n")
-    assert main(["featurize", "--out", str(settled)]) == 3
-    err = capsys.readouterr().err
-    assert f"data error: featurize: {path}:{line}: unknown entity 'ghost'" in err
+    graph_id = f"{index['period']}/{index['coin']}"
+    events = [json.loads(row) for row in (settled / "events.jsonl").read_text().splitlines()]
+    others = [e for e in events if f"{e['period']}/{e['cryptocurrency']}" != graph_id]
+    assert 0 < len(others) < len(events)
+    for case in ("ghost_edge", "no_events", "one_graph_without_events"):
+        out = tmp_path / case
+        shutil.copytree(settled, out)
+        if case == "ghost_edge":
+            path = out / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
+            line = len(path.read_text().splitlines()) + 1
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("ghost\tnobody\t0.5\n")
+            want = f"data error: featurize: {path}:{line}: unknown entity 'ghost'\n"
+        else:
+            kept = [] if case == "no_events" else others
+            (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in kept))
+            want = (
+                f"data error: featurize: graph {graph_id}: its nodes are not the spreaders "
+                f"of its events in {out / 'events.jsonl'}\n"
+            )
+        assert main(["featurize", "--out", str(out)]) == 3, case
+        assert capsys.readouterr().err == want, case
 
 
 @pytest.mark.parametrize(
@@ -664,8 +681,10 @@ def test_seed_is_a_flag_of_train_and_all_only(capsys):
             "layers": [{**obj["layers"][0], "weight": obj["layers"][0]["weight"][:-1]}]
             + obj["layers"][1:],
         },
+        lambda obj: {**obj, "config": {**obj["config"], "threshold": 1.5, "learning_rate": -1}},
     ],
-    ids=["format_version", "architecture", "not_an_object", "dropped_layer", "weight_shape"],
+    ids=["format_version", "architecture", "not_an_object", "dropped_layer", "weight_shape",
+         "out_of_range"],
 )
 def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
     path = settled / "model.json"
@@ -673,6 +692,17 @@ def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
     assert main(["infer", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: infer: {path}: ") and len(err.splitlines()) == 1, err
+
+
+def test_a_history_that_lost_epochs_fails_evaluate_with_exit_3(settled, capsys):
+    path = settled / "history.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, *rows[: len(rows) // 2]]))
+    assert main(["evaluate", "--out", str(settled)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: evaluate: {path}: 50 epoch rows, but {settled / 'model.json'} "
+        "was trained for 100 epochs\n"
+    )
 
 
 def test_short_standardization_fails_train_with_exit_3(settled, capsys):
@@ -765,7 +795,7 @@ def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
     price CSVs)."""
     bad = []
     cases = list(corruption_cases(pipeline))
-    assert len(cases) == 111
+    assert len(cases) == 96
     for n, (stage, rel, how) in enumerate(cases):
         out = tmp_path / str(n)
         shutil.copytree(pipeline, out)

@@ -22,8 +22,11 @@ from perseus.diffusion import (
     infer_weighted,
     lambda_matrix,
     load_graph,
+    load_graphs,
     save_graph,
+    save_graphs,
 )
+from perseus.evaluation import chronological_split
 from perseus.events import build_event_sets
 from perseus.ingest import CrowdPumpMessage, TradeDirection
 from perseus.synth import SynthConfig, generate_corpus
@@ -106,12 +109,9 @@ def test_lambda_matrix_is_cached_and_read_only():
 def test_theta_is_the_jaccard_ratio_of_event_sets():
     # a is in events {0, 1} and b in {0}, so theta_ab = 1/2 and lambda_ab = 1;
     # c -> d has theta = lambda = 1 and sets the peak
-    nodes, w, participation = infer_weighted(
+    nodes, w = infer_weighted(
         events_from([[("a", 0), ("b", 1)], [("a", 200)], [("c", 400), ("d", 401)]])
     )
-    assert participation == {
-        "a": frozenset({0, 1}), "b": frozenset({0}), "c": frozenset({2}), "d": frozenset({2})
-    }
     idx = {n: i for i, n in enumerate(nodes)}
     assert w[idx["a"], idx["b"]] == 0.5
     assert w[idx["c"], idx["d"]] == 1.0
@@ -121,14 +121,12 @@ def test_theta_is_the_jaccard_ratio_of_event_sets():
 
 def test_canonical_fixture_weights():
     events = events_from(CANONICAL)
-    nodes, w, participation = infer_weighted(events)
+    nodes, w = infer_weighted(events)
     assert nodes == ("a", "b", "c", "x")
     idx = {n: i for i, n in enumerate(nodes)}
     assert w[idx["a"], idx["b"]] == pytest.approx(0.3, abs=1e-12)
     assert w[idx["a"], idx["c"]] == pytest.approx(1.0, abs=1e-12)
     assert w[idx["b"], idx["c"]] == pytest.approx(0.4, abs=1e-12)
-    assert participation["a"] == frozenset({0, 1})
-    assert participation["x"] == frozenset({2})
     # every other entry, including the whole x row and column, is zero
     mask = np.zeros_like(w, dtype=bool)
     for r, s in [("a", "b"), ("a", "c"), ("b", "c")]:
@@ -148,7 +146,7 @@ def test_repeated_two_spreader_cascade_tops_the_scale():
             [("c", 400), ("d", 401)],
         ]
     )
-    nodes, w, _ = infer_weighted(events)
+    nodes, w = infer_weighted(events)
     idx = {n: i for i, n in enumerate(nodes)}
     assert w[idx["a"], idx["b"]] == pytest.approx(1.0)
     assert w[idx["c"], idx["d"]] == pytest.approx(0.5)
@@ -156,7 +154,7 @@ def test_repeated_two_spreader_cascade_tops_the_scale():
 
 def test_quotient_aggregation_mode():
     events = events_from(CANONICAL)
-    nodes, w, _ = infer_weighted(events, mode=AGG_QUOTIENT)
+    nodes, w = infer_weighted(events, mode=AGG_QUOTIENT)
     idx = {n: i for i, n in enumerate(nodes)}
     ref = oracles.brute_influence(
         [[("a", 0), ("b", 1), ("c", 2)], [("a", 0), ("c", 1)], [("x", 0)]],
@@ -206,8 +204,8 @@ def test_relabeling_equivariance():
     schedule = [
         [(renamed[c], h) for c, h in cascade] for cascade in CANONICAL
     ]
-    nodes1, w1, _ = infer_weighted(events)
-    nodes2, w2, _ = infer_weighted(events_from(schedule))
+    nodes1, w1 = infer_weighted(events)
+    nodes2, w2 = infer_weighted(events_from(schedule))
     perm = [nodes2.index(renamed[n]) for n in nodes1]
     assert np.allclose(w2[np.ix_(perm, perm)], w1, atol=1e-15)
 
@@ -227,7 +225,7 @@ def test_matches_brute_force_on_random_instances():
         if len({c for cascade in schedule for c, _ in cascade}) < 4:
             continue
         events = events_from(schedule)
-        nodes, w, _ = infer_weighted(events)
+        nodes, w = infer_weighted(events)
         idx = {n: i for i, n in enumerate(nodes)}
         base = [[(c, h) for c, h in cascade] for cascade in schedule]
         ref = oracles.brute_influence(base)
@@ -248,15 +246,45 @@ def test_graph_files_round_trip(tmp_path):
     # weights persist at nine decimal places
     assert np.allclose(again.weighted, graph.weighted, atol=5e-10)
     assert np.array_equal(again.directed, graph.directed)
-    assert again.event_participation == graph.event_participation
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["SUI.nodes.tsv", "SUI.weighted.tsv"]
+
+
+# The msg_dense, price_long and graph_wide bench shapes.
+BENCH_SHAPES = [
+    pytest.param(SynthConfig(n_spreaders=60, n_masterminds=3, n_events=90, n_coins=6), id="msg_dense"),
+    pytest.param(
+        SynthConfig(n_spreaders=12, n_masterminds=3, n_events=150, n_coins=6, forward_prob=0.1),
+        id="price_long",
+    ),
+    pytest.param(SynthConfig(n_spreaders=90, n_masterminds=3, n_events=24, n_coins=3), id="graph_wide"),
+]
+
+
+# `perseus synth`'s default shape, then the bench shapes.
+@pytest.mark.parametrize(
+    "config", [pytest.param(SynthConfig(n_coins=6), id="default"), *BENCH_SHAPES]
+)
+def test_stored_weights_give_the_built_orientation(tmp_path, config):
+    """A loaded graph derives its arrows from the nine-decimal stored
+    weights; on the pipeline's graphs they are the arrows of the unrounded
+    weights."""
+    messages = generate_corpus(config).messages
+    event_sets = build_event_sets(messages, chronological_split(messages).split_of)
+    for mode in (AGG_PRODUCT, AGG_QUOTIENT):
+        graphs, dropped = build_graphs(event_sets, mode=mode)
+        assert graphs
+        save_graphs(tmp_path / mode, graphs, dropped)
+        loaded = load_graphs(tmp_path / mode)
+        assert sorted(loaded) == sorted(graphs)
+        for graph_id, graph in graphs.items():
+            assert np.array_equal(loaded[graph_id].directed, graph.directed), (mode, graph_id)
 
 
 def assert_same_inference(events, mode):
-    nodes, w, participation = infer_weighted(events, mode=mode)
-    ref_nodes, ref_w, ref_participation = oracles.reference_infer_weighted(events, mode=mode)
+    nodes, w = infer_weighted(events, mode=mode)
+    ref_nodes, ref_w = oracles.reference_infer_weighted(events, mode=mode)
     assert nodes == ref_nodes
     assert np.array_equal(w, ref_w)
-    assert participation == ref_participation
 
 
 def test_bit_identical_to_the_pair_loops_on_tie_heavy_schedules():
@@ -285,15 +313,7 @@ def test_bit_identical_to_the_pair_loops_on_tie_heavy_schedules():
 
 
 @pytest.mark.parametrize(
-    "config",
-    [
-        SynthConfig(seed=0),
-        # the msg_dense, price_long and graph_wide bench shapes
-        SynthConfig(n_spreaders=60, n_masterminds=3, n_events=90, n_coins=6),
-        SynthConfig(n_spreaders=12, n_masterminds=3, n_events=150, n_coins=6, forward_prob=0.1),
-        SynthConfig(n_spreaders=90, n_masterminds=3, n_events=24, n_coins=3),
-    ],
-    ids=["default", "msg_dense", "price_long", "graph_wide"],
+    "config", [pytest.param(SynthConfig(seed=0), id="default"), *BENCH_SHAPES]
 )
 def test_bit_identical_to_the_pair_loops_on_synthetic_corpora(config):
     messages = generate_corpus(config).messages
@@ -312,8 +332,6 @@ def test_bit_identical_to_the_pair_loops_on_synthetic_corpora(config):
         ("weighted", "a\tb", r"not enough values to unpack \(expected 3, got 2\)"),
         ("weighted", "a\tb\tnan", "weight 'nan' is not a finite number"),
         ("weighted", "a\tb\theavy", "could not convert string to float: 'heavy'"),
-        ("directed", "a\tb\t1", r"too many values to unpack \(expected 2\)"),
-        ("directed", "a\tghost", "unknown entity 'ghost'"),
         ("nodes", "4", r"not enough values to unpack \(expected 2, got 1\)"),
     ],
 )

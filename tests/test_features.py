@@ -12,7 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import oracles
 
-from perseus.diffusion import DiffusionGraph, derive_directed
+from perseus.diffusion import DiffusionGraph
 from perseus.features import (
     FEATURE_COLUMNS,
     N_FEATURES,
@@ -38,14 +38,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "f
 def graph_from(weighted, coin="SUI", period="all"):
     w = np.asarray(weighted, dtype=float)
     nodes = tuple(f"n{i}" for i in range(len(w)))
-    return DiffusionGraph(
-        cryptocurrency=coin,
-        period=period,
-        nodes=nodes,
-        weighted=w,
-        directed=derive_directed(w),
-        event_participation={n: frozenset({0}) for n in nodes},
-    )
+    return DiffusionGraph(cryptocurrency=coin, period=period, nodes=nodes, weighted=w)
 
 
 def outcome(pid, achieved, total, ret=0.0):
@@ -378,8 +371,6 @@ def test_feature_rows_permute_with_the_nodes():
         period="all",
         nodes=tuple(graph.nodes[i] for i in perm),
         weighted=w[np.ix_(perm, perm)],
-        directed=graph.directed[np.ix_(perm, perm)],
-        event_participation=graph.event_participation,
     )
     base = compute_feature_rows(graph, {}, {})
     moved = compute_feature_rows(permuted, {}, {})
@@ -439,8 +430,6 @@ def test_features_csv_round_trip(tmp_path):
         mats.append(
             FeatureMatrix(
                 graph_id=f"train/{coin}",
-                cryptocurrency=coin,
-                period="train",
                 entity_ids=(f"{coin.lower()}_a", f"{coin.lower()}_b", f"{coin.lower()}_c"),
                 x=x,
                 y=np.array([1, 0, 0]),
@@ -452,6 +441,5 @@ def test_features_csv_round_trip(tmp_path):
     assert [m.graph_id for m in again] == ["train/SUI", "train/ARB"]
     for a, b in zip(mats, again):
         assert a.entity_ids == b.entity_ids
-        assert a.period == b.period and a.cryptocurrency == b.cryptocurrency
         np.testing.assert_array_equal(np.asarray(a.y), np.asarray(b.y))
         np.testing.assert_allclose(b.x, a.x, atol=0)

@@ -17,6 +17,7 @@ from perseus.gnn import (
     ARCH_SAGE,
     GraphData,
     ModelConfig,
+    ModelConfigError,
     forward,
     init_params,
     load_params,
@@ -270,7 +271,9 @@ def test_train_returns_the_final_epoch(monkeypatch):
 
 def test_zero_learning_rate_changes_nothing():
     graphs = separable_graphs()
-    config = ModelConfig(learning_rate=0.0, epochs=3)
+    config = ModelConfig(epochs=3)
+    # A config refuses learning_rate 0, so set it past the check to test Adam.
+    object.__setattr__(config, "learning_rate", 0.0)
     params, history = train(config, graphs)
     init = init_params(config, graphs[0].x.shape[1])
     np.testing.assert_array_equal(params_to_vector(params), params_to_vector(init))
@@ -365,3 +368,6 @@ def test_config_rejects_bad_choices():
         ModelConfig(graph_variant="mixed")
     with pytest.raises(ValueError):
         ModelConfig(num_layers=0)
+    with pytest.raises(ModelConfigError) as broken:
+        ModelConfig(threshold=1.5, learning_rate=-1.0)
+    assert broken.value.problems == ["learning_rate: must be positive", "threshold: must be in [0, 1]"]
