@@ -81,9 +81,9 @@ def read_feature_rows(path):
 
 def assert_matches_golden(out, name):
     """Compare out/predictions.jsonl, out/report.json (minus `timing`),
-    every pinned out/features/*.csv and, where pinned, the Louvain output
-    out/features/communities.json and the graph files out/graphs/ with the
-    copies in tests/golden/<name>/.
+    every pinned out/features/*.csv and, where pinned, the market outcomes
+    out/outcomes.jsonl, the Louvain output out/features/communities.json and
+    the graph files out/graphs/ with the copies in tests/golden/<name>/.
 
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
@@ -96,6 +96,7 @@ def assert_matches_golden(out, name):
         python -c "$STRIP" OUT/report.json > tests/golden/<name>/report.json
         cp OUT/features/{train,val,test}.csv tests/golden/synth_default/features/
         cp OUT/features/communities.json tests/golden/synth_default/features/
+        cp OUT/outcomes.jsonl tests/golden/synth_default/
         rm -r tests/golden/synth_default/graphs
         cp -r OUT/graphs tests/golden/synth_default/
 
@@ -121,6 +122,11 @@ def assert_matches_golden(out, name):
         for line in (golden / "predictions.jsonl").read_text().splitlines()
     ]
     assert_close(rows, want, f"{name}/predictions")
+    pinned = golden / "outcomes.jsonl"
+    if pinned.exists():
+        got = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
+        want = [json.loads(line) for line in pinned.read_text().splitlines()]
+        assert_close(got, want, f"{name}/outcomes")
     report = json.loads((out / "report.json").read_text())
     report.pop("timing")
     assert_close(report, json.loads((golden / "report.json").read_text()), f"{name}/report")
