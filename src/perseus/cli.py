@@ -402,13 +402,12 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg, "featurize")
     graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
-    prices = _read("featurize", market.load_price_dir, cfg.prices_dir) if cfg.prices_dir else {}
+    prices = market.iter_price_dir(cfg.prices_dir) if cfg.prices_dir else ()
+    outcomes, missing = _read("featurize", market.compute_outcomes, messages, prices, cfg.return_rule)
     labels = {}
     if cfg.labels is not None and cfg.labels.exists():
         labels = _read("featurize", synth_mod.load_labels, cfg.labels)
 
-    series_by_coin = {ingest.normalize_symbol(pair): series for pair, series in prices.items()}
-    outcomes, missing = market.compute_outcomes(messages, series_by_coin, rule=cfg.return_rule)
     if missing:
         logger.warning("featurize: %d message(s) had no usable price data", len(missing))
     by_graph_spreader: dict[str, dict[str, list]] = {}
@@ -417,6 +416,16 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
         for event in events:
             for message in event.messages:
                 bucket.setdefault(message.entity_id, []).append(message)
+    dropped = _read("featurize", diffusion.dropped_index, cfg.out_dir / "graphs")
+    for period, coin in sorted(event_sets):
+        graph_id = f"{period}/{coin}"
+        n = len(by_graph_spreader[graph_id])
+        if graph_id not in graphs and not (n < diffusion.MIN_SPREADERS and dropped.get((period, coin)) == n):
+            raise DataError(
+                f"featurize: {graph_id}: {cfg.out_dir / 'graphs' / diffusion.INDEX} neither lists "
+                f"a graph of its {n} spreaders in {cfg.out_dir / 'events.jsonl'} nor drops it "
+                f"as below {diffusion.MIN_SPREADERS}"
+            )
     by_period: dict[str, list[FeatureMatrix]] = {}
     communities = {}
     for graph_id in sorted(graphs):

@@ -213,6 +213,14 @@ def graph_index(root: Path | str) -> list[tuple[str, str]]:
     )
 
 
+def dropped_index(root: Path | str) -> dict[tuple[str, str], int]:
+    """The spreader count of every (period, coin) root/index.json drops."""
+    return read_json(
+        Path(root) / INDEX,
+        lambda index: {(e["period"], e["cryptocurrency"]): e["spreaders"] for e in index["dropped"]},
+    )
+
+
 def graph_files(root: Path | str) -> list[Path]:
     """The index and the tables of every graph it lists (only the index
     while it does not exist)."""

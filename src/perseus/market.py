@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .ingest import CrowdPumpMessage, TradeDirection, parse_timestamp
+from .ingest import CrowdPumpMessage, TradeDirection, normalize_symbol, parse_timestamp
 
 OUTCOME_WINDOW = timedelta(hours=72)
 FORWARD_FILL_LIMIT = timedelta(minutes=10)
@@ -138,21 +138,29 @@ def price_files(directory: Path | str) -> list[Path]:
     return sorted(directory.glob("*.csv")) if directory.is_dir() else []
 
 
-def load_price_dir(directory: Path | str) -> dict[str, PriceSeries]:
-    """Every file of `price_files(directory)`, keyed by file stem. Raises
-    PriceFileError naming the first file that cannot be read as a series."""
-    out = {}
+def iter_price_dir(directory: Path | str) -> Iterator[PriceSeries]:
+    """The files of `price_files(directory)` as series, loaded one at a time:
+    none is read before the previous one is asked for, and none is kept once
+    yielded. Raises PriceFileError naming a file that cannot be read."""
     for path in price_files(directory):
-        try:
-            out[path.stem] = load_price_csv(path)
-        except KeyError as exc:
-            raise PriceFileError(f"{path}: no column {exc}") from exc
-        except (TypeError, AttributeError) as exc:
-            # csv.DictReader fills the missing fields of a short row with None.
-            raise PriceFileError(f"{path}: a row has too few fields") from exc
-        except ValueError as exc:
-            raise PriceFileError(f"{path}: {exc}") from exc
-    return out
+        yield _load_price_file(path)
+
+
+def load_price_dir(directory: Path | str) -> dict[str, PriceSeries]:
+    """Every series of `iter_price_dir(directory)`, keyed by file stem."""
+    return {series.pair: series for series in iter_price_dir(directory)}
+
+
+def _load_price_file(path: Path) -> PriceSeries:
+    try:
+        return load_price_csv(path)
+    except KeyError as exc:
+        raise PriceFileError(f"{path}: no column {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        # csv.DictReader fills the missing fields of a short row with None.
+        raise PriceFileError(f"{path}: a row has too few fields") from exc
+    except ValueError as exc:
+        raise PriceFileError(f"{path}: {exc}") from exc
 
 
 def write_price_csv(path: Path | str, series: PriceSeries) -> None:
@@ -225,19 +233,29 @@ def outcome(
 
 def compute_outcomes(
     messages: Iterable[CrowdPumpMessage],
-    series_by_coin: Mapping[str, PriceSeries],
+    series: Iterable[PriceSeries],
     rule: str = RETURN_DIRECTION_AWARE,
 ) -> tuple[dict[int, MarketOutcome], list[int]]:
-    """Outcomes keyed by pid, plus the pids whose coin had no usable data."""
-    outcomes: dict[int, MarketOutcome] = {}
-    missing: list[int] = []
+    """Outcomes keyed by pid, plus the pids whose coin had no usable data.
+
+    The coin of a series is `normalize_symbol(series.pair)`. Each series
+    judges its coin's messages as it arrives and is dropped before the next
+    is drawn, so a one-pass `iter_price_dir` holds one series at a time. A
+    later series of a coin replaces the results of an earlier one.
+    """
+    messages = list(messages)
+    by_coin: dict[str, list[CrowdPumpMessage]] = {}
     for message in messages:
-        series = series_by_coin.get(message.cryptocurrency)
-        if series is None:
-            missing.append(message.pid)
-            continue
-        try:
-            outcomes[message.pid] = outcome(series, message, rule)
-        except MissingData:
-            missing.append(message.pid)
-    return outcomes, missing
+        by_coin.setdefault(message.cryptocurrency, []).append(message)
+    judged: dict[str, dict[int, MarketOutcome]] = {}
+    for s in series:
+        coin = normalize_symbol(s.pair)
+        results = judged[coin] = {}
+        for message in by_coin.get(coin, ()):
+            try:
+                results[message.pid] = outcome(s, message, rule)
+            except MissingData:
+                pass
+        del s
+    outcomes = {pid: o for results in judged.values() for pid, o in results.items()}
+    return outcomes, [m.pid for m in messages if m.pid not in outcomes]

@@ -115,8 +115,7 @@ def pipeline_matrices(seed):
     event_sets = build_event_sets(corpus.messages, lambda m: "all")
     graphs, _ = build_graphs(event_sets)
     prices = generate_prices(corpus.messages, cfg)
-    series_by_coin = {pair[:-4]: series for pair, series in prices.items()}
-    outcomes, _ = compute_outcomes(corpus.messages, series_by_coin)
+    outcomes, _ = compute_outcomes(corpus.messages, prices.values())
     out = []
     for gid in sorted(graphs):
         g = graphs[gid]

@@ -12,6 +12,8 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,9 @@ import pytest
 from perseus import cli, ingest, market
 from perseus import synth as synth_mod
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
+from perseus.events import REASON_IDENTICAL_TEXT, BroadcastFlag
 from perseus.features import FEATURE_COLUMNS
+from perseus.jsonfile import write_jsonl
 from perseus.synth import SynthConfig, generate_corpus, generate_prices, write_labels, write_truth
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
@@ -356,6 +360,92 @@ def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     assert main(["all", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert "data error: featurize:" in err and path.name in err
+
+
+def read_rows(path, key):
+    """The JSON lines of `path` by their `key` field."""
+    return {row[key]: row for row in map(json.loads, path.read_text().splitlines())}
+
+
+def test_featurize_holds_one_price_series_at_a_time(settled, monkeypatch):
+    # PriceSeries compares by value, so it is unhashable: no WeakSet.
+    loaded = []
+    alive_at_load = []
+    load = market.load_price_csv
+
+    def recorded(*args, **kwargs):
+        alive_at_load.append(sum(ref() is not None for ref in loaded))
+        series = load(*args, **kwargs)
+        loaded.append(weakref.ref(series))
+        return series
+
+    monkeypatch.setattr(market, "load_price_csv", recorded)
+    (settled / "manifests" / "featurize.json").unlink()
+    assert main(["featurize", "--out", str(settled)]) == 0
+    assert len(alive_at_load) == len(market.price_files(settled / "data" / "prices")) >= 3
+    assert alive_at_load == [0] * len(alive_at_load)
+
+
+def test_the_last_price_file_of_a_coin_decides_its_outcomes(settled, capsys):
+    """COIN00BUSD.csv and COIN00USDT.csv both price COIN00: the later one in
+    price_files order decides its outcomes, and a malformed earlier one
+    still stops featurize."""
+    prices = settled / "data" / "prices"
+    usdt, busd = prices / "COIN00USDT.csv", prices / "COIN00BUSD.csv"
+    header, *rows = usdt.read_text().splitlines()
+    busd.write_text(usdt.read_text())
+    cells = [row.split(",") for row in rows]
+    usdt.write_text("\n".join([header] + [f"{t},{2 * float(p)!r},{v}" for t, p, v in cells]) + "\n")
+    assert market.price_files(prices)[:2] == [busd, usdt]
+    before = read_rows(settled / "outcomes.jsonl", "pid")
+    assert main(["featurize", "--out", str(settled)]) == 0
+    after = read_rows(settled / "outcomes.jsonl", "pid")
+    coin = {pid: m["cryptocurrency"] for pid, m in read_rows(settled / "messages.jsonl", "PID").items()}
+    assert sorted(after) == sorted(before)
+    assert "COIN00" in {coin[pid] for pid in after}
+    for pid, row in after.items():
+        scale = 2.0 if coin[pid] == "COIN00" else 1.0
+        assert row["announcement_price"] == scale * before[pid]["announcement_price"], pid
+
+    busd.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000,1.6"]) + "\n")
+    assert main(["featurize", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: featurize:" in err and busd.name in err
+
+
+def test_a_bad_price_file_of_a_coin_no_message_names_fails_with_exit_3(settled, capsys):
+    path = settled / "data" / "prices" / "NOBODYUSDT.csv"
+    path.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000,1.6"]) + "\n")
+    assert main(["featurize", "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert "data error: featurize:" in err and path.name in err
+
+
+def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
+    """Every (period, coin) of events.jsonl is a graph of the index or is
+    dropped there with its spreader count, which is below the minimum."""
+    path = settled / "graphs" / "index.json"
+    index = json.loads(path.read_text())
+    index["graphs"].remove({"period": "test", "coin": "COIN01"})
+    for dropped in ([], [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 5}]):
+        path.write_text(json.dumps(dict(index, dropped=dropped)))
+        assert main(["featurize", "--out", str(settled)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: featurize: test/COIN01: ") and str(path) in err
+
+    events = settled / "events.jsonl"
+    rows = [json.loads(row) for row in events.read_text().splitlines()]
+    single = next(e for e in rows if e["period"] == "test" and len(e["messages"]) == 1)
+    kept = [e for e in rows if (e["period"], e["cryptocurrency"]) != ("test", "COIN01") or e is single]
+    events.write_text("".join(json.dumps(e) + "\n" for e in kept))
+    assert main(["graphs", "--out", str(settled)]) == 0
+    index = json.loads(path.read_text())
+    assert index["dropped"] == [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 1}]
+    assert main(["featurize", "--out", str(settled)]) == 0
+    index["dropped"][0]["spreaders"] = 2
+    path.write_text(json.dumps(index))
+    assert main(["featurize", "--out", str(settled)]) == 3
+    assert "test/COIN01" in capsys.readouterr().err
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
@@ -800,11 +890,23 @@ def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
     and by line number in a line-oriented file (all but JSON documents and
     price CSVs)."""
     bad = []
-    cases = list(corruption_cases(pipeline))
+    cases = [(pipeline, *case) for case in corruption_cases(pipeline)]
     assert len(cases) == 96
-    for n, (stage, rel, how) in enumerate(cases):
+    # The default run flags no broadcast; evaluate's flags.jsonl cases also
+    # run on a copy whose flags.jsonl holds one flag row.
+    flagged = tmp_path / "flagged"
+    shutil.copytree(pipeline, flagged)
+    event = json.loads((flagged / "events.jsonl").read_text().splitlines()[0])
+    channel = {pid: m["entity_id"] for pid, m in read_rows(flagged / "messages.jsonl", "PID").items()}
+    channels = tuple(sorted({channel[pid] for pid in event["messages"]}))
+    flag = BroadcastFlag(event["event_id"], channels, (REASON_IDENTICAL_TEXT,))
+    write_jsonl(flagged / "flags.jsonl", map(asdict, [flag]))
+    assert main(["evaluate", "--out", str(flagged)]) == 0
+    assert json.loads((flagged / "report.json").read_text())["flags"] == {"events_flagged": 1}
+    cases += [(flagged, "evaluate", Path("flags.jsonl"), how) for how in CORRUPTIONS]
+    for n, (source, stage, rel, how) in enumerate(cases):
         out = tmp_path / str(n)
-        shutil.copytree(pipeline, out)
+        shutil.copytree(source, out)
         path, data = out / rel, (out / rel).read_bytes()
         path.write_bytes(CORRUPTIONS[how](data))
         try:

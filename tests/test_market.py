@@ -18,6 +18,7 @@ from perseus.market import (
     PriceSeries,
     RETURN_PAPER_LITERAL,
     compute_outcomes,
+    iter_price_dir,
     load_price_csv,
     load_price_dir,
     outcome,
@@ -184,7 +185,7 @@ def test_targets_achieved_is_monotone_in_the_window():
 def test_compute_outcomes_collects_missing_pids():
     msgs = [signal(pid=1), signal(pid=2, coin="ARB")]
     s = series([(0, 100.0), (60, 110.0)])
-    outcomes, missing = compute_outcomes(msgs, {"SUI": s})
+    outcomes, missing = compute_outcomes(msgs, [s])
     assert missing == [2]
     out = outcomes[1]
     assert out.announcement_price == 100.0
@@ -193,9 +194,20 @@ def test_compute_outcomes_collects_missing_pids():
     assert (out.targets_achieved, out.targets_total) == (1, 1)
 
 
+def test_a_later_series_of_a_coin_replaces_the_earlier_results():
+    msgs = [signal(pid=1), signal(pid=2, minute=120), signal(pid=3, coin="ARB")]
+    early = series([(0, 100.0), (60, 110.0)], pair="SUIBUSD")
+    late = series([(90, 50.0), (150, 60.0)], pair="SUIUSDT")
+    outcomes, missing = compute_outcomes(msgs, iter([early, late]))
+    # pid 1 comes 90 minutes before the later series starts.
+    assert missing == [1, 3]
+    assert sorted(outcomes) == [2]
+    assert outcomes[2].announcement_price == 50.0
+
+
 def test_outcome_file_round_trip(tmp_path):
     s = series([(0, 100.0), (60, 110.0)])
-    outcomes, _ = compute_outcomes([signal(pid=5)], {"SUI": s})
+    outcomes, _ = compute_outcomes([signal(pid=5)], [s])
     path = tmp_path / "outcomes.jsonl"
     write_jsonl(path, (asdict(outcomes[pid]) for pid in sorted(outcomes)))
     rows = list(read_jsonl(path))
@@ -335,3 +347,13 @@ def test_price_dir_names_the_unreadable_file(tmp_path, name, reason):
     with pytest.raises(PriceFileError, match=reason) as info:
         load_price_dir(tmp_path)
     assert "BADUSDT.csv" in str(info.value)
+
+
+def test_iter_price_dir_reads_a_file_only_when_it_is_drawn(tmp_path):
+    (tmp_path / "AUSDT.csv").write_text(PRICE_FILES["epoch_ms"])
+    (tmp_path / "BUSDT.csv").write_text(PRICE_FILES["short_row"])
+    files = iter_price_dir(tmp_path)
+    assert next(files).pair == "AUSDT"
+    with pytest.raises(PriceFileError, match="a row has too few fields") as info:
+        next(files)
+    assert "BUSDT.csv" in str(info.value)
