@@ -256,6 +256,7 @@ def compute_outcomes(
                 results[message.pid] = outcome(s, message, rule)
             except MissingData:
                 pass
+        # Else the loop variable keeps this series alive while the next loads.
         del s
     outcomes = {pid: o for results in judged.values() for pid, o in results.items()}
     return outcomes, [m.pid for m in messages if m.pid not in outcomes]

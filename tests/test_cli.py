@@ -435,8 +435,9 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
 
     events = settled / "events.jsonl"
     rows = [json.loads(row) for row in events.read_text().splitlines()]
-    single = next(e for e in rows if e["period"] == "test" and len(e["messages"]) == 1)
-    kept = [e for e in rows if (e["period"], e["cryptocurrency"]) != ("test", "COIN01") or e is single]
+    pair = lambda e: (e["period"], e["cryptocurrency"])
+    single = next(e for e in rows if pair(e) == ("test", "COIN01") and len(e["messages"]) == 1)
+    kept = [e for e in rows if pair(e) != ("test", "COIN01") or e is single]
     events.write_text("".join(json.dumps(e) + "\n" for e in kept))
     assert main(["graphs", "--out", str(settled)]) == 0
     index = json.loads(path.read_text())
