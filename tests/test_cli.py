@@ -83,11 +83,16 @@ def read_feature_rows(path):
     return [header] + [[e, int(y), g, *map(float, xs)] for e, y, g, *xs in rows]
 
 
+# The parse-to-events artifacts, compared byte for byte where pinned.
+PINNED_BYTES = ("messages.jsonl", "skip_report.json", "split_plan.json", "events.jsonl")
+
+
 def assert_matches_golden(out, name):
     """Compare out/predictions.jsonl, out/report.json (minus `timing`),
-    every pinned out/features/*.csv and, where pinned, the market outcomes
-    out/outcomes.jsonl, the Louvain output out/features/communities.json and
-    the graph files out/graphs/ with the copies in tests/golden/<name>/.
+    every pinned out/features/*.csv and, where pinned, the PINNED_BYTES
+    files (byte for byte), the market outcomes out/outcomes.jsonl, the
+    Louvain output out/features/communities.json and the graph files
+    out/graphs/ with the copies in tests/golden/<name>/.
 
     Regenerate a pinned copy only for an intended behaviour change, and say
     why in CHANGES.md. From the repo root, with OUT the test's out dir
@@ -101,6 +106,8 @@ def assert_matches_golden(out, name):
         cp OUT/features/{train,val,test}.csv tests/golden/synth_default/features/
         cp OUT/features/communities.json tests/golden/synth_default/features/
         cp OUT/outcomes.jsonl tests/golden/synth_default/
+        cp OUT/{messages.jsonl,skip_report.json} tests/golden/synth_default/
+        cp OUT/{split_plan.json,events.jsonl} tests/golden/synth_default/
         rm -r tests/golden/synth_default/graphs
         cp -r OUT/graphs tests/golden/synth_default/
 
@@ -120,6 +127,9 @@ def assert_matches_golden(out, name):
         print(json.dumps(r, indent=1, sort_keys=True))
     """
     golden = GOLDEN / name
+    for pinned in PINNED_BYTES:
+        if (golden / pinned).exists():
+            assert (out / pinned).read_bytes() == (golden / pinned).read_bytes(), f"{name}/{pinned}"
     rows = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
     want = [
         json.loads(line)
