@@ -20,6 +20,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -314,47 +315,27 @@ def parse_corpus(
 
 # --- serialization -----------------------------------------------------------
 #
-# json.dumps cannot emit Decimal without converting to float, which would break
-# the exact round-trip this module promises. _emit is a minimal JSON writer
-# whose only extension is printing Decimal in plain fixed notation.
-
-def _emit(value) -> str:
-    if isinstance(value, Decimal):
-        return format(value, "f")
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (str, float)):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_emit(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+# One messages.jsonl line holds the eleven fields in a fixed order. Strings are
+# escaped as json.dumps escapes them (encode_basestring_ascii is its escaper),
+# and prices are printed in plain decimal notation: json.dumps would turn a
+# Decimal into a float and break the exact round-trip this module promises.
 
 
-def message_to_json(message: CrowdPumpMessage) -> str:
-    payload = {
-        "PID": message.pid,
-        "entity_id": message.entity_id,
-        "trade_direction": message.trade_direction.value,
-        "source_datetime": message.source_datetime.isoformat(),
-        "exchange": message.exchange,
-        "cryptocurrency": message.cryptocurrency,
-        "channel_participants": message.channel_participants,
-        "entry_prices": list(message.entry_prices),
-        "target_prices": list(message.target_prices),
-        "stop_loss": message.stop_loss,
-        "message_text": message.message_text,
-    }
-    return _emit(payload)
+def _prices(prices: Iterable[Decimal]) -> str:
+    return "[" + ", ".join(format(p, "f") for p in prices) + "]"
 
 
-def message_from_json(line: str) -> CrowdPumpMessage:
-    return _message(json.loads(line, parse_float=Decimal))
+def message_to_json(m: CrowdPumpMessage) -> str:
+    stop = "null" if m.stop_loss is None else format(m.stop_loss, "f")
+    return (
+        f'{{"PID": {m.pid}, "entity_id": {_quote(m.entity_id)}, '
+        f'"trade_direction": {_quote(m.trade_direction.value)}, '
+        f'"source_datetime": {_quote(m.source_datetime.isoformat())}, '
+        f'"exchange": {_quote(m.exchange)}, "cryptocurrency": {_quote(m.cryptocurrency)}, '
+        f'"channel_participants": {m.channel_participants}, '
+        f'"entry_prices": {_prices(m.entry_prices)}, "target_prices": {_prices(m.target_prices)}, '
+        f'"stop_loss": {stop}, "message_text": {_quote(m.message_text)}}}'
+    )
 
 
 def _message(obj: dict) -> CrowdPumpMessage:

@@ -1,7 +1,7 @@
 """Regex extraction, timestamp handling and serialization round trips."""
 
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
 
@@ -11,7 +11,6 @@ from perseus.ingest import (
     CrowdPumpMessage,
     RawMessage,
     TradeDirection,
-    message_from_json,
     message_to_json,
     normalize_symbol,
     parse_corpus,
@@ -143,14 +142,50 @@ def test_pids_follow_input_order_and_output_is_time_sorted():
     assert [(m.pid, m.entity_id) for m in messages] == [(2, "early"), (1, "late")]
 
 
-def test_json_round_trip_preserves_decimals():
+def test_json_round_trip_preserves_decimals(tmp_path):
     messages, _ = parse_corpus([_line(SIGNAL_TEXT)])
-    m = messages[0]
-    again = message_from_json(message_to_json(m))
-    assert again == m
-    assert isinstance(again.entry_prices[0], Decimal)
+    path = tmp_path / "messages.jsonl"
+    write_messages(path, messages)
+    again = read_messages(path)
+    assert again == messages
+    assert isinstance(again[0].entry_prices[0], Decimal)
     # fixed-point notation survives, no float detour
-    assert "0.035004" in message_to_json(m)
+    assert "0.035004" in message_to_json(messages[0])
+
+
+def test_a_message_line_escapes_strings_as_json_and_prints_plain_decimals(tmp_path):
+    """What the default corpus lacks: quotes, backslashes, control, non-ASCII
+    and astral characters, no entry price, no stop, a non-UTC offset with
+    microseconds and prices whose repr is not plain notation. The expected
+    line is the one the generic JSON emitter this writer replaced wrote."""
+    message = CrowdPumpMessage(
+        pid=9,
+        entity_id='q"uo\\te\x00\x1f\x7f\u00e9\u4e2d\U0001F680',
+        trade_direction=TradeDirection.SHORT,
+        source_datetime=datetime(
+            2024, 2, 29, 23, 59, 59, 123456, tzinfo=timezone(timedelta(hours=5, minutes=30))
+        ),
+        exchange="BINANCE",
+        cryptocurrency="SUI",
+        channel_participants=0,
+        entry_prices=(),
+        target_prices=(Decimal("1E+2"), Decimal("1e-30"), Decimal("123.4500")),
+        stop_loss=None,
+        message_text='line\nbreak\ttab "q" \\ \u00e9 \U0001F600',
+    )
+    path = tmp_path / "messages.jsonl"
+    write_messages(path, [message])
+    assert path.read_text(encoding="utf-8") == (
+        r'{"PID": 9, "entity_id": "q\"uo\\te\u0000\u001f\u007f\u00e9\u4e2d\ud83d\ude80", '
+        r'"trade_direction": "Short", "source_datetime": "2024-02-29T23:59:59.123456+05:30", '
+        r'"exchange": "BINANCE", "cryptocurrency": "SUI", "channel_participants": 0, '
+        r'"entry_prices": [], "target_prices": [100, 0.000000000000000000000000000001, 123.4500], '
+        r'"stop_loss": null, "message_text": "line\nbreak\ttab \"q\" \\ \u00e9 \ud83d\ude00"}'
+        "\n"
+    )
+    (again,) = read_messages(path)
+    assert again == message
+    assert again.target_prices[2].as_tuple() == Decimal("123.4500").as_tuple()
 
 
 def test_file_round_trip(tmp_path):
