@@ -436,6 +436,13 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
                 f"featurize: graph {graph_id}: its nodes are not the spreaders of its events "
                 f"in {cfg.out_dir / 'events.jsonl'}"
             )
+        events = event_sets.get((graph.period, graph.cryptocurrency), [])
+        if not diffusion.matches_inferred(graph, events, cfg.aggregation):
+            raise DataError(
+                f"featurize: graph {graph_id}: {cfg.out_dir / 'graphs' / graph_id}.weighted.tsv "
+                f"does not hold the {cfg.aggregation} weights of its events in "
+                f"{cfg.out_dir / 'events.jsonl'}"
+            )
         rows = compute_feature_rows(graph, by_spreader, outcomes)
         graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
         by_period.setdefault(graph.period, []).append(assemble_matrix(graph, rows, graph_labels))
@@ -663,7 +670,7 @@ STAGES: dict[str, Stage] = {
             lambda cfg, o: [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir),
         ),
         reads_if_present=(lambda cfg, o: [cfg.labels] if cfg.labels else [],),
-        keys=("return_rule",),
+        keys=("return_rule", "aggregation"),
     ),
     "train": Stage(
         "train the spreader classifier",

@@ -160,6 +160,7 @@ def build_graphs(
 
 GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv")
 INDEX = "index.json"
+WEIGHT_FORMAT = ".9f"
 
 
 def _tables(directory: Path, coin: str) -> list[Path]:
@@ -181,7 +182,7 @@ def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
     nodes, weighted = graph.nodes, graph.weighted
     with open(weighted_path, "w", encoding="utf-8") as fh:
         fh.writelines(
-            f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:.9f}\n"
+            f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:{WEIGHT_FORMAT}}\n"
             for r, s in zip(*np.nonzero(weighted > 0))
         )
 
@@ -255,6 +256,18 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
     return DiffusionGraph(cryptocurrency=coin, period=period, nodes=tuple(nodes), weighted=weighted)
+
+
+def matches_inferred(graph: DiffusionGraph, events: Sequence[CrowdPumpEvent], mode: str) -> bool:
+    """Whether `graph`, as load_graph read it, holds the nodes and the
+    weights that `mode` infers from `events`, each weight through the text
+    save_graph writes."""
+    try:
+        nodes, weighted = infer_weighted(events, mode=mode)
+    except GraphTooSmall:
+        return False
+    stored = [float(f"{w:{WEIGHT_FORMAT}}") if w > 0 else 0.0 for w in weighted.ravel().tolist()]
+    return nodes == graph.nodes and np.array_equal(np.reshape(stored, weighted.shape), graph.weighted)
 
 
 def load_graphs(root: Path | str) -> dict[str, DiffusionGraph]:

@@ -227,7 +227,8 @@ def read_events(
     path: Path | str, messages_by_pid: Mapping[int, CrowdPumpMessage]
 ) -> dict[tuple[str, str], list[CrowdPumpEvent]]:
     """The event sets event_rows wrote; a malformed line, or one naming a
-    pid not in `messages_by_pid`, raises ValueError naming file and line."""
+    pid not in `messages_by_pid`, raises ValueError naming file and line,
+    and a file with no event raises ValueError naming the file."""
 
     def row(obj: dict) -> tuple[str, CrowdPumpEvent]:
         unknown = [pid for pid in obj["messages"] if pid not in messages_by_pid]
@@ -243,4 +244,6 @@ def read_events(
     out: dict[tuple[str, str], list[CrowdPumpEvent]] = defaultdict(list)
     for period, event in read_jsonl(path, row):
         out[(period, event.cryptocurrency)].append(event)
+    if not out:
+        raise ValueError(f"{path}: no events")
     return dict(out)

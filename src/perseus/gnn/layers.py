@@ -10,6 +10,8 @@ differentiated by hand and finite-difference tests hold the line.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 LEAKY_SLOPE = 0.2
@@ -28,18 +30,23 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_gat_layer(rng: np.random.Generator, d_in: int, d_out: int) -> dict[str, np.ndarray]:
+# A layer layout maps each parameter, in drawing order, to its shape and the
+# (fan_in, fan_out) of its Glorot draw, or None for one that starts at zero.
+Layout = dict[str, tuple[tuple[int, ...], Optional[tuple[int, int]]]]
+
+
+def gat_layout(d_in: int, d_out: int) -> Layout:
     return {
-        "weight": glorot(rng, d_in, d_out, (d_in, d_out)),
-        "bias": np.zeros(d_out),
-        "att": glorot(rng, 2 * d_out, 1, (2 * d_out,)),
+        "weight": ((d_in, d_out), (d_in, d_out)),
+        "bias": ((d_out,), None),
+        "att": ((2 * d_out,), (2 * d_out, 1)),
     }
 
 
-def init_sage_layer(rng: np.random.Generator, d_in: int, d_out: int) -> dict[str, np.ndarray]:
+def sage_layout(d_in: int, d_out: int) -> Layout:
     return {
-        "weight": glorot(rng, d_in, d_out, (d_in, d_out)),
-        "bias": np.zeros(d_out),
+        "weight": ((d_in, d_out), (d_in, d_out)),
+        "bias": ((d_out,), None),
     }
 
 

@@ -18,14 +18,16 @@ import numpy as np
 from ..jsonfile import read_json, write_json
 from .layers import (
     Adam,
+    Layout,
     bce_grad_wrt_logits,
     bce_loss,
     gat_backward,
     gat_forward,
-    init_gat_layer,
-    init_sage_layer,
+    gat_layout,
+    glorot,
     sage_backward,
     sage_forward,
+    sage_layout,
     sigmoid,
 )
 
@@ -119,11 +121,21 @@ class GraphData:
         return len(self.nodes)
 
 
+def _layouts(config: ModelConfig, in_dim: int) -> list[Layout]:
+    dims = config.dims(in_dim)
+    layout = gat_layout if config.architecture == ARCH_GAT else sage_layout
+    return [layout(d_in, d_out) for d_in, d_out in zip(dims, dims[1:])]
+
+
 def init_params(config: ModelConfig, in_dim: int) -> list[dict[str, np.ndarray]]:
     rng = np.random.default_rng(config.seed)
-    dims = config.dims(in_dim)
-    init = init_gat_layer if config.architecture == ARCH_GAT else init_sage_layer
-    return [init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+    return [
+        {
+            name: np.zeros(shape) if fans is None else glorot(rng, *fans, shape)
+            for name, (shape, fans) in layout.items()
+        }
+        for layout in _layouts(config, in_dim)
+    ]
 
 
 def forward(
@@ -271,12 +283,12 @@ def _params_from_json(obj: dict) -> tuple[list[dict[str, np.ndarray]], ModelConf
         {name: np.array(value, dtype=float) for name, value in layer.items()}
         for layer in obj["layers"]
     ]
-    expected = init_params(config, in_dim)
+    expected = _layouts(config, in_dim)
     if len(params) != len(expected):
         raise ValueError(f"{len(params)} layers where the config has {len(expected)}")
-    for i, (layer, want) in enumerate(zip(params, expected)):
+    for i, (layer, layout) in enumerate(zip(params, expected)):
         got = {name: arr.shape for name, arr in layer.items()}
-        need = {name: arr.shape for name, arr in want.items()}
+        need = {name: shape for name, (shape, _) in layout.items()}
         if got != need:
             raise ValueError(f"layer {i} has parameters {got} where the config needs {need}")
     return params, config, in_dim

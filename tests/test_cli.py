@@ -289,7 +289,7 @@ CACHE_KEYS = {
              ["events.jsonl", "messages.jsonl"]),
     "graphs": ("db7863992057180bdfa32cf5099f1fb69a9ee03e1c303ee8b690f7c07f07168a",
                ["events.jsonl", "messages.jsonl"]),
-    "featurize": ("88e48b460e31ed6b5f60a89b7ea9f714c10a8f5a294980b487399ecf65a59c1a",
+    "featurize": ("d137160b111fc2de401e0817acc5154e3d62e8450c33f849c3438219b09c90b0",
                   ["data/labels.json", *PRICE_FILES, "events.jsonl", "graphs/index.json",
                    *GRAPH_FILES, "messages.jsonl"]),
     "train": ("6358d085d93f7721339dd527796d2cf804f43b39592a67c28179ab5d4c97aee8",
@@ -476,15 +476,80 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write("ghost\tnobody\t0.5\n")
             want = f"data error: featurize: {path}:{line}: unknown entity 'ghost'\n"
+        elif case == "no_events":
+            (out / "events.jsonl").write_text("")
+            want = f"data error: featurize: {out / 'events.jsonl'}: no events\n"
         else:
-            kept = [] if case == "no_events" else others
-            (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in kept))
+            (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in others))
             want = (
                 f"data error: featurize: graph {graph_id}: its nodes are not the spreaders "
                 f"of its events in {out / 'events.jsonl'}\n"
             )
         assert main(["featurize", "--out", str(out)]) == 3, case
         assert capsys.readouterr().err == want, case
+
+
+@pytest.mark.parametrize("stage", ["flag", "graphs", "featurize"])
+def test_an_empty_event_file_fails_with_exit_3(settled, capsys, stage):
+    """The events stage never writes an empty events.jsonl, so an empty one
+    is a data error naming it, not an empty flags.jsonl or a complaint
+    about spreader counts."""
+    path = settled / "events.jsonl"
+    path.write_text("")
+    assert main([stage, "--out", str(settled)]) == 3
+    assert capsys.readouterr().err == f"data error: {stage}: {path}: no events\n"
+
+
+def test_weights_that_events_do_not_give_fail_featurize_with_exit_3(settled, tmp_path, capsys):
+    """Featurize infers each listed graph again from events.jsonl under its
+    `aggregation` and requires the stored nine-decimal weights: an emptied
+    table, a weight one digit off, or graphs built under the other
+    aggregation are data errors naming the graph."""
+    table = Path("graphs") / "test" / "COIN01.weighted.tsv"
+    quotient = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
+    for case in ("empty", "one_digit", "quotient"):
+        out = tmp_path / case
+        shutil.copytree(settled, out)
+        path = out / table
+        if case == "empty":
+            path.write_text("")
+        elif case == "one_digit":
+            first, *rest = path.read_text().splitlines(keepends=True)
+            digit = str((int(first[-2]) + 1) % 10)
+            path.write_text("".join([first[:-2] + digit + "\n", *rest]))
+        else:
+            assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
+        assert main(["featurize", "--out", str(out)]) == 3, case
+        assert capsys.readouterr().err == (
+            f"data error: featurize: graph test/COIN01: {path} does not hold the dani_product "
+            f"weights of its events in {out / 'events.jsonl'}\n"
+        ), case
+    assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
+
+
+def test_a_retune_draws_no_random_initialization(settled, tmp_path):
+    """With threshold_grid the only edit, only evaluate re-runs. It checks
+    model.json's layers against the config without drawing a random
+    initialization, so the process leaves numpy.random unimported (unless
+    importing numpy already imports it, as numpy before 1.25 did)."""
+    config = write_config(tmp_path / "retune.json", threshold_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from perseus.cli import main\n"
+        "assert main(['all', '--out', sys.argv[1], '--config', sys.argv[2]]) == 0\n"
+        "print(eager, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(settled), config],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PERSEUS_LOG="INFO"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.findall(r"perseus\.cli: (\w+): wrote \d+ artifact", done.stderr) == ["evaluate"]
+    eager, loaded = done.stdout.splitlines()[-1].split()
+    assert loaded == "False" or eager == "True"
 
 
 @pytest.mark.parametrize(

@@ -281,6 +281,13 @@ def test_event_file_round_trip(tmp_path):
     assert again == sets
 
 
+def test_an_empty_event_file_is_named(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match="events.jsonl: no events$"):
+        read_events(path, {})
+
+
 def test_an_event_naming_an_unknown_pid_is_named_by_line(tmp_path):
     stream = [msg("a", 0), msg("b", 1), msg("c", 100)]
     path = tmp_path / "events.jsonl"
