@@ -266,8 +266,10 @@ def matches_inferred(graph: DiffusionGraph, events: Sequence[CrowdPumpEvent], mo
         nodes, weighted = infer_weighted(events, mode=mode)
     except GraphTooSmall:
         return False
-    stored = [float(f"{w:{WEIGHT_FORMAT}}") if w > 0 else 0.0 for w in weighted.ravel().tolist()]
-    return nodes == graph.nodes and np.array_equal(np.reshape(stored, weighted.shape), graph.weighted)
+    edges = weighted > 0
+    stored = np.zeros_like(weighted)
+    stored[edges] = [float(f"{w:{WEIGHT_FORMAT}}") for w in weighted[edges].tolist()]
+    return nodes == graph.nodes and np.array_equal(stored, graph.weighted)
 
 
 def load_graphs(root: Path | str) -> dict[str, DiffusionGraph]:
