@@ -317,8 +317,9 @@ def parse_corpus(
 #
 # One messages.jsonl line holds the eleven fields in a fixed order. Strings are
 # escaped as json.dumps escapes them (encode_basestring_ascii is its escaper),
-# and prices are printed in plain decimal notation: json.dumps would turn a
-# Decimal into a float and break the exact round-trip this module promises.
+# and prices are printed in plain decimal notation: json.dumps cannot write a
+# Decimal without a float detour, which would break the exact round-trip this
+# module promises.
 
 
 def _prices(prices: Iterable[Decimal]) -> str:
