@@ -460,18 +460,23 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
-    """A malformed graph table, and graphs that events.jsonl no longer
-    matches (emptied, or one graph's events removed), stop featurize."""
+    """A malformed graph table, graphs that events.jsonl no longer matches
+    (emptied, or one graph's events removed), and weights other than those
+    featurize infers again from the events under its `aggregation` (an
+    emptied table, a weight one digit off, graphs rebuilt under the other
+    aggregation) stop featurize."""
     index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
     graph_id = f"{index['period']}/{index['coin']}"
     events = [json.loads(row) for row in (settled / "events.jsonl").read_text().splitlines()]
     others = [e for e in events if f"{e['period']}/{e['cryptocurrency']}" != graph_id]
     assert 0 < len(others) < len(events)
-    for case in ("ghost_edge", "no_events", "one_graph_without_events"):
+    quotient = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
+    cases = ("ghost_edge", "no_events", "one_graph_without_events", "no_edges", "one_digit", "quotient")
+    for case in cases:
         out = tmp_path / case
         shutil.copytree(settled, out)
+        path = out / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
         if case == "ghost_edge":
-            path = out / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
             line = len(path.read_text().splitlines()) + 1
             with open(path, "a", encoding="utf-8") as fh:
                 fh.write("ghost\tnobody\t0.5\n")
@@ -479,59 +484,46 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
         elif case == "no_events":
             (out / "events.jsonl").write_text("")
             want = f"data error: featurize: {out / 'events.jsonl'}: no events\n"
-        else:
+        elif case == "one_graph_without_events":
             (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in others))
             want = (
                 f"data error: featurize: graph {graph_id}: its nodes are not the spreaders "
                 f"of its events in {out / 'events.jsonl'}\n"
             )
+        else:
+            if case == "no_edges":
+                path.write_text("")
+            elif case == "one_digit":
+                first, *rest = path.read_text().splitlines(keepends=True)
+                digit = str((int(first[-2]) + 1) % 10)
+                path.write_text("".join([first[:-2] + digit + "\n", *rest]))
+            else:
+                assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
+            want = (
+                f"data error: featurize: graph {graph_id}: {path} does not hold the dani_product "
+                f"weights of its events in {out / 'events.jsonl'}\n"
+            )
         assert main(["featurize", "--out", str(out)]) == 3, case
         assert capsys.readouterr().err == want, case
+    assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
 
 
-@pytest.mark.parametrize("stage", ["flag", "graphs", "featurize"])
+@pytest.mark.parametrize("stage", ["flag", "graphs"])
 def test_an_empty_event_file_fails_with_exit_3(settled, capsys, stage):
     """The events stage never writes an empty events.jsonl, so an empty one
     is a data error naming it, not an empty flags.jsonl or a complaint
-    about spreader counts."""
+    about spreader counts (featurize's case is in the test above)."""
     path = settled / "events.jsonl"
     path.write_text("")
     assert main([stage, "--out", str(settled)]) == 3
     assert capsys.readouterr().err == f"data error: {stage}: {path}: no events\n"
 
 
-def test_weights_that_events_do_not_give_fail_featurize_with_exit_3(settled, tmp_path, capsys):
-    """Featurize infers each listed graph again from events.jsonl under its
-    `aggregation` and requires the stored nine-decimal weights: an emptied
-    table, a weight one digit off, or graphs built under the other
-    aggregation are data errors naming the graph."""
-    table = Path("graphs") / "test" / "COIN01.weighted.tsv"
-    quotient = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
-    for case in ("empty", "one_digit", "quotient"):
-        out = tmp_path / case
-        shutil.copytree(settled, out)
-        path = out / table
-        if case == "empty":
-            path.write_text("")
-        elif case == "one_digit":
-            first, *rest = path.read_text().splitlines(keepends=True)
-            digit = str((int(first[-2]) + 1) % 10)
-            path.write_text("".join([first[:-2] + digit + "\n", *rest]))
-        else:
-            assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
-        assert main(["featurize", "--out", str(out)]) == 3, case
-        assert capsys.readouterr().err == (
-            f"data error: featurize: graph test/COIN01: {path} does not hold the dani_product "
-            f"weights of its events in {out / 'events.jsonl'}\n"
-        ), case
-    assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
-
-
 def test_a_retune_draws_no_random_initialization(settled, tmp_path):
     """With threshold_grid the only edit, only evaluate re-runs. It checks
     model.json's layers against the config without drawing a random
     initialization, so the process leaves numpy.random unimported (unless
-    importing numpy already imports it, as numpy before 1.25 did)."""
+    importing numpy already imports it, as older numpy releases do)."""
     config = write_config(tmp_path / "retune.json", threshold_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
     code = (
         "import sys, numpy\n"
