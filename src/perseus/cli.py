@@ -112,6 +112,8 @@ def _one_of(choices: tuple[str, ...]) -> tuple:
     return choices.__contains__, str, " or ".join(map(repr, choices))
 
 
+_MAX_CAP_HOURS = timedelta.max // timedelta(hours=1)
+
 _PATH = (lambda v: isinstance(v, str) and v != "", Path, "a path string")
 
 # Each top-level field: (default, test a given value must pass, the type it is
@@ -130,9 +132,9 @@ _FIELDS: dict[str, tuple] = {
     ),
     "event_cap_hours": (
         events_mod.GAP_CAP / timedelta(hours=1),
-        lambda v: _is_number(v) and v > 0,
+        lambda v: _is_number(v) and 0 < v <= _MAX_CAP_HOURS,
         float,
-        "a positive number",
+        f"a positive number up to {_MAX_CAP_HOURS} (the largest timedelta)",
     ),
     "return_rule": (market.RETURN_DIRECTION_AWARE, *_one_of(market.RETURN_RULES)),
     "aggregation": (diffusion.AGG_PRODUCT, *_one_of(diffusion.AGGREGATIONS)),
@@ -401,7 +403,10 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
 
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg, "featurize")
-    graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
+    graph_dir = cfg.out_dir / "graphs"
+    graphs = _read("featurize", diffusion.load_graphs, graph_dir)
+    # After load_graphs, so a malformed line is named by file and line.
+    _read("featurize", diffusion.check_graph_dir, graph_dir, event_sets, cfg.aggregation)
     prices = market.iter_price_dir(cfg.prices_dir) if cfg.prices_dir else ()
     outcomes, missing = _read("featurize", market.compute_outcomes, messages, prices, cfg.return_rule)
     labels = {}
@@ -416,34 +421,10 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
         for event in events:
             for message in event.messages:
                 bucket.setdefault(message.entity_id, []).append(message)
-    dropped = _read("featurize", diffusion.dropped_index, cfg.out_dir / "graphs")
-    for period, coin in sorted(event_sets):
-        graph_id = f"{period}/{coin}"
-        n = len(by_graph_spreader[graph_id])
-        if graph_id not in graphs and not (n < diffusion.MIN_SPREADERS and dropped.get((period, coin)) == n):
-            raise DataError(
-                f"featurize: {graph_id}: {cfg.out_dir / 'graphs' / diffusion.INDEX} neither lists "
-                f"a graph of its {n} spreaders in {cfg.out_dir / 'events.jsonl'} nor drops it "
-                f"as below {diffusion.MIN_SPREADERS}"
-            )
     by_period: dict[str, list[FeatureMatrix]] = {}
     communities = {}
-    for graph_id in sorted(graphs):
-        graph = graphs[graph_id]
-        by_spreader = by_graph_spreader.get(graph_id, {})
-        if set(graph.nodes) != set(by_spreader):
-            raise DataError(
-                f"featurize: graph {graph_id}: its nodes are not the spreaders of its events "
-                f"in {cfg.out_dir / 'events.jsonl'}"
-            )
-        events = event_sets.get((graph.period, graph.cryptocurrency), [])
-        if not diffusion.matches_inferred(graph, events, cfg.aggregation):
-            raise DataError(
-                f"featurize: graph {graph_id}: {cfg.out_dir / 'graphs' / graph_id}.weighted.tsv "
-                f"does not hold the {cfg.aggregation} weights of its events in "
-                f"{cfg.out_dir / 'events.jsonl'}"
-            )
-        rows = compute_feature_rows(graph, by_spreader, outcomes)
+    for graph_id, graph in sorted(graphs.items()):
+        rows = compute_feature_rows(graph, by_graph_spreader[graph_id], outcomes)
         graph_labels = {n: labels.get(n, -1) for n in graph.nodes}
         by_period.setdefault(graph.period, []).append(assemble_matrix(graph, rows, graph_labels))
         partition = louvain(graph.weighted)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .events import CrowdPumpEvent
-from .jsonfile import read_json, write_json
+from .jsonfile import json_text, read_json, write_json
 
 MIN_SPREADERS = 4
 
@@ -167,24 +167,37 @@ def _tables(directory: Path, coin: str) -> list[Path]:
     return [directory / f"{coin}{table}" for table in GRAPH_TABLES]
 
 
-def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
-    """Write the nodes and weighted files of one graph under `directory`.
+def _table_texts(graph: DiffusionGraph) -> tuple[str, str]:
+    """The text of each GRAPH_TABLES file of `graph`.
 
     Weighted edges go to a src<TAB>dst<TAB>weight TSV with nine decimal
     places; the node index maps row number to entity id. The orientation is
     not stored, as it is a function of the weights (DiffusionGraph.directed).
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    nodes_path, weighted_path = _tables(directory, graph.cryptocurrency)
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{i}\t{entity}\n" for i, entity in enumerate(graph.nodes))
     nodes, weighted = graph.nodes, graph.weighted
-    with open(weighted_path, "w", encoding="utf-8") as fh:
-        fh.writelines(
+    return (
+        "".join(f"{i}\t{entity}\n" for i, entity in enumerate(nodes)),
+        "".join(
             f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:{WEIGHT_FORMAT}}\n"
             for r, s in zip(*np.nonzero(weighted > 0))
-        )
+        ),
+    )
+
+
+def _index(listed: Sequence[tuple[str, str]], dropped: Sequence[tuple[str, str, int]]) -> dict:
+    """The index of the graphs at `listed` (period, coin) and of `dropped`."""
+    return {
+        "graphs": [{"period": p, "coin": c} for p, c in sorted(listed, key="/".join)],
+        "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
+    }
+
+
+def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
+    """Write the tables of one graph under `directory`."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for path, text in zip(_tables(directory, graph.cryptocurrency), _table_texts(graph)):
+        path.write_text(text, encoding="utf-8")
 
 
 def save_graphs(
@@ -192,18 +205,41 @@ def save_graphs(
     graphs: Mapping[str, DiffusionGraph],
     dropped: Sequence[tuple[str, str, int]],
 ) -> list[Path]:
-    """Write every graph, in graph id order, and the index under `root`;
-    the files written."""
+    """Write every graph and the index under `root`; the files written."""
     root = Path(root)
-    ordered = [graphs[graph_id] for graph_id in sorted(graphs)]
-    for graph in ordered:
+    for graph in graphs.values():
         save_graph(graph, root / graph.period)
-    index = {
-        "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in ordered],
-        "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
-    }
-    write_json(root / INDEX, index)
+    listed = [(graph.period, graph.cryptocurrency) for graph in graphs.values()]
+    write_json(root / INDEX, _index(listed, dropped))
     return graph_files(root)
+
+
+def check_graph_dir(
+    root: Path | str,
+    event_sets: Mapping[tuple[str, str], Sequence[CrowdPumpEvent]],
+    mode: str = AGG_PRODUCT,
+) -> None:
+    """Raise ValueError naming the first file under `root` (the tables of
+    each graph in (period, coin) order, then the index) that is not what
+    save_graphs writes for what build_graphs makes of `event_sets` under
+    `mode`. One graph is built at a time."""
+    root = Path(root)
+
+    def require(path: Path, text: str) -> None:
+        if not (path.is_file() and path.read_bytes() == text.encode("utf-8")):
+            raise ValueError(f"{path}: not the {mode} graph file of these events")
+
+    listed, dropped = [], []
+    for (period, coin), events in sorted(event_sets.items()):
+        try:
+            graph = build_graph(coin, period, list(events), mode=mode)
+        except GraphTooSmall as exc:
+            dropped.append((period, coin, exc.n))
+            continue
+        listed.append((period, coin))
+        for path, text in zip(_tables(root / period, coin), _table_texts(graph)):
+            require(path, text)
+    require(root / INDEX, json_text(_index(listed, dropped)))
 
 
 def graph_index(root: Path | str) -> list[tuple[str, str]]:
@@ -211,14 +247,6 @@ def graph_index(root: Path | str) -> list[tuple[str, str]]:
     return read_json(
         Path(root) / INDEX,
         lambda index: [(entry["period"], entry["coin"]) for entry in index["graphs"]],
-    )
-
-
-def dropped_index(root: Path | str) -> dict[tuple[str, str], int]:
-    """The spreader count of every (period, coin) root/index.json drops."""
-    return read_json(
-        Path(root) / INDEX,
-        lambda index: {(e["period"], e["cryptocurrency"]): e["spreaders"] for e in index["dropped"]},
     )
 
 
@@ -256,20 +284,6 @@ def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
     except ValueError as exc:
         raise ValueError(f"{path}:{number}: {exc}") from None
     return DiffusionGraph(cryptocurrency=coin, period=period, nodes=tuple(nodes), weighted=weighted)
-
-
-def matches_inferred(graph: DiffusionGraph, events: Sequence[CrowdPumpEvent], mode: str) -> bool:
-    """Whether `graph`, as load_graph read it, holds the nodes and the
-    weights that `mode` infers from `events`, each weight through the text
-    save_graph writes."""
-    try:
-        nodes, weighted = infer_weighted(events, mode=mode)
-    except GraphTooSmall:
-        return False
-    edges = weighted > 0
-    stored = np.zeros_like(weighted)
-    stored[edges] = [float(f"{w:{WEIGHT_FORMAT}}") for w in weighted[edges].tolist()]
-    return nodes == graph.nodes and np.array_equal(stored, graph.weighted)
 
 
 def load_graphs(root: Path | str) -> dict[str, DiffusionGraph]:

@@ -206,6 +206,8 @@ def read_features_csv(path: Path | str) -> list[FeatureMatrix]:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 entity, label, graph_id = row[0], int(row[1]), row[2]
+                if label not in (-1, 0, 1):
+                    raise ValueError(f"label {label} is not -1, 0 or 1")
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None

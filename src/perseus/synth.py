@@ -470,5 +470,15 @@ def write_labels(path: Path | str, labels: dict[str, int]) -> None:
     write_json(path, {"labels": labels})
 
 
+def _labels(obj) -> dict[str, int]:
+    labels = obj["labels"]
+    for entity, label in labels.items():
+        if type(label) is not int or label not in (0, 1):
+            raise ValueError(f"label of {entity!r} is {label!r}, not 0 or 1")
+    return labels
+
+
 def load_labels(path: Path | str) -> dict[str, int]:
-    return read_json(path, lambda obj: {k: int(v) for k, v in obj["labels"].items()})
+    """The labels write_labels wrote; any value but the integers 0 and 1
+    raises ValueError naming the file and the entity."""
+    return read_json(path, _labels)

@@ -431,17 +431,29 @@ def test_a_bad_price_file_of_a_coin_no_message_names_fails_with_exit_3(settled, 
     assert "data error: featurize:" in err and path.name in err
 
 
+def not_built(path, mode="dani_product"):
+    """What featurize prints when `path` is not what graphs writes."""
+    return f"data error: featurize: {path}: not the {mode} graph file of these events\n"
+
+
 def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     """Every (period, coin) of events.jsonl is a graph of the index or is
-    dropped there with its spreader count, which is below the minimum."""
+    dropped there with its spreader count, which is below the minimum; the
+    index drops nothing else and lists its graphs in graph id order."""
     path = settled / "graphs" / "index.json"
     index = json.loads(path.read_text())
-    index["graphs"].remove({"period": "test", "coin": "COIN01"})
-    for dropped in ([], [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 5}]):
-        path.write_text(json.dumps(dict(index, dropped=dropped)))
+    left_out = [g for g in index["graphs"] if g != {"period": "test", "coin": "COIN01"}]
+    assert len(left_out) == len(index["graphs"]) - 1
+    dropped = lambda period, coin, n: [{"period": period, "cryptocurrency": coin, "spreaders": n}]
+    for edited in (
+        dict(index, graphs=left_out),
+        dict(index, graphs=left_out, dropped=dropped("test", "COIN01", 5)),
+        dict(index, dropped=dropped("val", "COIN99", 2)),
+        dict(index, graphs=index["graphs"][::-1]),
+    ):
+        path.write_text(json.dumps(edited))
         assert main(["featurize", "--out", str(settled)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: featurize: test/COIN01: ") and str(path) in err
+        assert capsys.readouterr().err == not_built(path)
 
     events = settled / "events.jsonl"
     rows = [json.loads(row) for row in events.read_text().splitlines()]
@@ -456,15 +468,15 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     index["dropped"][0]["spreaders"] = 2
     path.write_text(json.dumps(index))
     assert main(["featurize", "--out", str(settled)]) == 3
-    assert "test/COIN01" in capsys.readouterr().err
+    assert capsys.readouterr().err == not_built(path)
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
-    """A malformed graph table, graphs that events.jsonl no longer matches
-    (emptied, or one graph's events removed), and weights other than those
-    featurize infers again from the events under its `aggregation` (an
-    emptied table, a weight one digit off, graphs rebuilt under the other
-    aggregation) stop featurize."""
+    """A malformed graph table, and graph files other than those the graphs
+    stage writes for events.jsonl under featurize's `aggregation`, stop
+    featurize: graphs that events.jsonl no longer matches (emptied, or one
+    graph's events removed), an emptied table, a weight one digit off, and
+    graphs rebuilt under the other aggregation."""
     index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
     graph_id = f"{index['period']}/{index['coin']}"
     events = [json.loads(row) for row in (settled / "events.jsonl").read_text().splitlines()]
@@ -486,10 +498,7 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
             want = f"data error: featurize: {out / 'events.jsonl'}: no events\n"
         elif case == "one_graph_without_events":
             (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in others))
-            want = (
-                f"data error: featurize: graph {graph_id}: its nodes are not the spreaders "
-                f"of its events in {out / 'events.jsonl'}\n"
-            )
+            want = not_built(out / "graphs" / "index.json")
         else:
             if case == "no_edges":
                 path.write_text("")
@@ -499,10 +508,7 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
                 path.write_text("".join([first[:-2] + digit + "\n", *rest]))
             else:
                 assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
-            want = (
-                f"data error: featurize: graph {graph_id}: {path} does not hold the dani_product "
-                f"weights of its events in {out / 'events.jsonl'}\n"
-            )
+            want = not_built(path)
         assert main(["featurize", "--out", str(out)]) == 3, case
         assert capsys.readouterr().err == want, case
     assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
@@ -551,8 +557,11 @@ def test_a_retune_draws_no_random_initialization(settled, tmp_path):
         ("evaluate", "x"),
         ("train", "a,one,train/COIN00"),
         ("train", "a,0,train/COIN00" + ",heavy" * len(FEATURE_COLUMNS)),
+        ("train", "a,2,train/COIN00" + ",0.5" * len(FEATURE_COLUMNS)),
     ],
-    ids=["infer_short_row", "evaluate_short_row", "train_short_row", "train_bad_cell"],
+    ids=[
+        "infer_short_row", "evaluate_short_row", "train_short_row", "train_bad_cell", "train_bad_label"
+    ],
 )
 def test_bad_features_file_fails_with_exit_3(settled, capsys, stage, row):
     split = "train" if stage == "train" else "val"
@@ -563,6 +572,19 @@ def test_bad_features_file_fails_with_exit_3(settled, capsys, stage, row):
     argv = [stage, "--out", str(settled)] + ([] if stage == "train" else ["--split", split])
     assert main(argv) == 3
     assert f"data error: {stage}: {path}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [2, 0.9, "1", True], ids=["two", "fraction", "string", "true"])
+def test_a_label_other_than_0_or_1_fails_featurize_with_exit_3(settled, capsys, label):
+    path = settled / "data" / "labels.json"
+    obj = json.loads(path.read_text())
+    entity = sorted(obj["labels"])[0]
+    obj["labels"][entity] = label
+    path.write_text(json.dumps(obj))
+    assert main(["all", "--out", str(settled)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: featurize: {path}: label of {entity!r} is {label!r}, not 0 or 1\n"
+    )
 
 
 def test_threshold_grid_edit_reruns_only_evaluate(settled, tmp_path):
@@ -804,6 +826,7 @@ def test_negative_seeds_are_config_errors(tmp_path, capsys, argv):
         pytest.param({"labels": ["a"]}, "labels", id="labels"),
         pytest.param({"split_fractions": [0.5, 0.5, 0.5]}, "split_fractions", id="split_fractions"),
         pytest.param({"event_cap_hours": True}, "event_cap_hours", id="event_cap_hours_bool"),
+        pytest.param({"event_cap_hours": 1e11}, "event_cap_hours", id="event_cap_hours_huge"),
         pytest.param({"return_rule": "optimistic"}, "return_rule", id="return_rule"),
         pytest.param({"aggregation": "mean"}, "aggregation", id="aggregation"),
         pytest.param({"threshold_grid": [False, True]}, "threshold_grid", id="threshold_grid_bools"),
@@ -951,13 +974,30 @@ def corruption_cases(out):
                 yield name, rel, how
 
 
+# The cases the sweep lets pass, so that a data check which stops firing is
+# seen: a corpus line the parser skips (an appended `x`, a cut last line),
+# an emptied table that train and infer do not compare with events.jsonl,
+# and a flags.jsonl that is valid when cut or emptied (the default run's is
+# already empty; the flagged copy's one row cannot be cut to a valid line).
+EXIT_0_CASES = [
+    ("default", "parse", "data/corpus.jsonl", "append"),
+    ("default", "parse", "data/corpus.jsonl", "truncate"),
+    ("default", "train", "graphs/test/COIN01.weighted.tsv", "empty"),
+    ("default", "infer", "graphs/test/COIN01.weighted.tsv", "empty"),
+    ("default", "evaluate", "flags.jsonl", "truncate"),
+    ("default", "evaluate", "flags.jsonl", "empty"),
+    ("flagged", "evaluate", "flags.jsonl", "empty"),
+]
+
+
 def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
     """Every file a stage reads, appended to, cut in half or emptied, gives
-    exit 0 or exit 3 with one `data error: <stage>:` line and no traceback.
+    exit 3 with one `data error: <stage>:` line and no traceback, or exit 0
+    in exactly EXIT_0_CASES.
     A line that fails to parse, as the appended `x` does, is named by file,
     and by line number in a line-oriented file (all but JSON documents and
     price CSVs)."""
-    bad = []
+    bad, passed = [], []
     cases = [(pipeline, *case) for case in corruption_cases(pipeline)]
     assert len(cases) == 96
     # The default run flags no broadcast; evaluate's flags.jsonl cases also
@@ -984,12 +1024,15 @@ def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         by_line = rel.suffix in (".jsonl", ".tsv") or (rel.suffix == ".csv" and rel.parts[0] != "data")
         where = f"{path}:{len(data.splitlines()) + 1}: " if by_line else f"{path}: "
-        if code == 3:
-            ok = err.startswith(f"data error: {stage}: ") and len(err.splitlines()) == 1
-            ok = ok and (how != "append" or where in err)
-        else:
-            ok = code == 0
-        if not ok:
+        if code == 0:
+            passed.append(("flagged" if source == flagged else "default", stage, str(rel), how))
+        elif not (
+            code == 3
+            and err.startswith(f"data error: {stage}: ")
+            and len(err.splitlines()) == 1
+            and (how != "append" or where in err)
+        ):
             bad.append((stage, str(rel), how, code, err))
         shutil.rmtree(out)
     assert bad == []
+    assert passed == EXIT_0_CASES
