@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import resource
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -436,13 +437,18 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     fit_period = "train" if "train" in by_period else sorted(by_period)[0]
     standardizer = Standardizer.fit([m.x for m in by_period[fit_period]])
 
+    # features/ holds only what featurize writes: a period left without a
+    # graph keeps no CSV from an earlier run.
+    features = cfg.out_dir / "features"
+    if features.exists():
+        shutil.rmtree(features)
     written = [
         write_jsonl(cfg.out_dir / "outcomes.jsonl", (asdict(outcomes[pid]) for pid in sorted(outcomes))),
-        write_json(cfg.out_dir / "features" / "communities.json", communities),
+        write_json(features / "communities.json", communities),
         write_json(cfg.out_dir / STANDARDIZATION, standardizer.to_json(), indent=None),
     ]
     for period, mats in sorted(by_period.items()):
-        written.append(cfg.out_dir / "features" / f"{period}.csv")
+        written.append(features / f"{period}.csv")
         write_features_csv(written[-1], mats)
     return written
 
@@ -467,7 +473,6 @@ def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData
                 x=standardizer.transform(mat.x),
                 y=mat.y,
                 weighted=graph.weighted,
-                directed=graph.directed.astype(float),
             )
         )
     return data

@@ -18,6 +18,7 @@ binary orientation keeps r -> s only where the weight beats its reverse.
 from __future__ import annotations
 
 import math
+import shutil
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .events import CrowdPumpEvent
-from .jsonfile import json_text, read_json, write_json
+from .jsonfile import json_text, read_json
 
 MIN_SPREADERS = 4
 
@@ -141,6 +142,12 @@ def build_graphs(
 ) -> tuple[dict[str, DiffusionGraph], list[tuple[str, str, int]]]:
     """Build one graph per (period, coin); undersized coins are dropped and
     reported as (period, coin, spreader count)."""
+    return _build(event_sets, mode)
+
+
+def _build(event_sets, mode):
+    # build_graphs' loop, apart from the public name that perfbench traces,
+    # so check_graph_dir does not count as a second build.
     graphs: dict[str, DiffusionGraph] = {}
     dropped: list[tuple[str, str, int]] = []
     for (period, coin), events in sorted(event_sets.items()):
@@ -167,37 +174,31 @@ def _tables(directory: Path, coin: str) -> list[Path]:
     return [directory / f"{coin}{table}" for table in GRAPH_TABLES]
 
 
-def _table_texts(graph: DiffusionGraph) -> tuple[str, str]:
-    """The text of each GRAPH_TABLES file of `graph`.
+def _render(
+    root: Path, graphs: Mapping[str, DiffusionGraph], dropped: Sequence[tuple[str, str, int]]
+) -> dict[Path, str]:
+    """The text of every file under `root` for `graphs` and `dropped`: each
+    graph's GRAPH_TABLES in graph id order, then the index.
 
     Weighted edges go to a src<TAB>dst<TAB>weight TSV with nine decimal
     places; the node index maps row number to entity id. The orientation is
     not stored, as it is a function of the weights (DiffusionGraph.directed).
     """
-    nodes, weighted = graph.nodes, graph.weighted
-    return (
-        "".join(f"{i}\t{entity}\n" for i, entity in enumerate(nodes)),
-        "".join(
+    listed = sorted(graphs.values(), key=lambda graph: graph.graph_id)
+    texts: dict[Path, str] = {}
+    for graph in listed:
+        nodes, weighted = graph.nodes, graph.weighted
+        nodes_path, weighted_path = _tables(root / graph.period, graph.cryptocurrency)
+        texts[nodes_path] = "".join(f"{i}\t{entity}\n" for i, entity in enumerate(nodes))
+        texts[weighted_path] = "".join(
             f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:{WEIGHT_FORMAT}}\n"
             for r, s in zip(*np.nonzero(weighted > 0))
-        ),
-    )
-
-
-def _index(listed: Sequence[tuple[str, str]], dropped: Sequence[tuple[str, str, int]]) -> dict:
-    """The index of the graphs at `listed` (period, coin) and of `dropped`."""
-    return {
-        "graphs": [{"period": p, "coin": c} for p, c in sorted(listed, key="/".join)],
+        )
+    texts[root / INDEX] = json_text({
+        "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in listed],
         "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
-    }
-
-
-def save_graph(graph: DiffusionGraph, directory: Path | str) -> None:
-    """Write the tables of one graph under `directory`."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for path, text in zip(_tables(directory, graph.cryptocurrency), _table_texts(graph)):
-        path.write_text(text, encoding="utf-8")
+    })
+    return texts
 
 
 def save_graphs(
@@ -205,13 +206,16 @@ def save_graphs(
     graphs: Mapping[str, DiffusionGraph],
     dropped: Sequence[tuple[str, str, int]],
 ) -> list[Path]:
-    """Write every graph and the index under `root`; the files written."""
+    """Replace `root` with the tables of every graph and the index; the
+    files written."""
     root = Path(root)
-    for graph in graphs.values():
-        save_graph(graph, root / graph.period)
-    listed = [(graph.period, graph.cryptocurrency) for graph in graphs.values()]
-    write_json(root / INDEX, _index(listed, dropped))
-    return graph_files(root)
+    texts = _render(root, graphs, dropped)
+    if root.exists():
+        shutil.rmtree(root)
+    for path, text in texts.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return list(texts)
 
 
 def check_graph_dir(
@@ -219,27 +223,13 @@ def check_graph_dir(
     event_sets: Mapping[tuple[str, str], Sequence[CrowdPumpEvent]],
     mode: str = AGG_PRODUCT,
 ) -> None:
-    """Raise ValueError naming the first file under `root` (the tables of
-    each graph in (period, coin) order, then the index) that is not what
-    save_graphs writes for what build_graphs makes of `event_sets` under
-    `mode`. One graph is built at a time."""
+    """Raise ValueError naming the first file under `root`, in save_graphs'
+    order, that is not what save_graphs writes for what build_graphs makes
+    of `event_sets` under `mode`."""
     root = Path(root)
-
-    def require(path: Path, text: str) -> None:
+    for path, text in _render(root, *_build(event_sets, mode)).items():
         if not (path.is_file() and path.read_bytes() == text.encode("utf-8")):
             raise ValueError(f"{path}: not the {mode} graph file of these events")
-
-    listed, dropped = [], []
-    for (period, coin), events in sorted(event_sets.items()):
-        try:
-            graph = build_graph(coin, period, list(events), mode=mode)
-        except GraphTooSmall as exc:
-            dropped.append((period, coin, exc.n))
-            continue
-        listed.append((period, coin))
-        for path, text in zip(_tables(root / period, coin), _table_texts(graph)):
-            require(path, text)
-    require(root / INDEX, json_text(_index(listed, dropped)))
 
 
 def graph_index(root: Path | str) -> list[tuple[str, str]]:
@@ -259,7 +249,7 @@ def graph_files(root: Path | str) -> list[Path]:
 
 
 def load_graph(directory: Path | str, coin: str, period: str) -> DiffusionGraph:
-    """Read the files save_graph wrote; a malformed line (wrong field count,
+    """Read the tables save_graphs wrote; a malformed line (wrong field count,
     unknown entity, non-finite weight) raises ValueError naming it."""
     directory = Path(directory)
     nodes_path, weighted_path = _tables(directory, coin)

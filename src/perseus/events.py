@@ -44,6 +44,12 @@ class CrowdPumpEvent:
         entities = [m.entity_id for m in self.messages]
         if len(set(entities)) != len(entities):
             raise ValueError("event messages must come from distinct entities")
+        for m in self.messages:
+            if (m.cryptocurrency, m.trade_direction) != (self.cryptocurrency, self.direction):
+                raise ValueError(
+                    f"pid {m.pid} is a {m.cryptocurrency} {m.trade_direction.value} message,"
+                    f" not {self.cryptocurrency} {self.direction.value}"
+                )
 
     @property
     def start(self) -> datetime:
@@ -92,7 +98,7 @@ def segment_events(
 
     Within each event only the first message per entity survives; later
     duplicates are dropped. Event ids are assigned in stream order starting at
-    ``start_event_id``.
+    ``start_event_id``. A mixed stream raises CrowdPumpEvent's ValueError.
     """
     if not messages:
         return []
@@ -101,9 +107,6 @@ def segment_events(
         raise ValueError("segment_events expects messages sorted by time")
     coin = messages[0].cryptocurrency
     direction = messages[0].trade_direction
-    for m in messages:
-        if m.cryptocurrency != coin or m.trade_direction != direction:
-            raise ValueError("segment_events expects one (coin, direction) stream")
 
     events: list[CrowdPumpEvent] = []
     chunk: list[CrowdPumpMessage] = []

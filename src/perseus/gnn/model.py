@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..diffusion import derive_directed
 from ..jsonfile import read_json, write_json
 from .layers import (
     Adam,
@@ -82,14 +83,14 @@ class ModelConfig:
 
 @dataclass
 class GraphData:
-    """One graph ready for training: features, labels and both adjacencies."""
+    """One graph ready for training: features, labels and the weighted
+    adjacency, from which the directed one is derived."""
 
     graph_id: str
     nodes: tuple[str, ...]
     x: np.ndarray
     y: np.ndarray
     weighted: np.ndarray
-    directed: np.ndarray
     _inbound: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -105,7 +106,7 @@ class GraphData:
         """
         if variant not in self._inbound:
             if variant == VARIANT_DIRECTED:
-                adj = self.directed > 0
+                adj = derive_directed(self.weighted) > 0
             elif variant == VARIANT_WEIGHTED:
                 adj = self.weighted > 0
             else:

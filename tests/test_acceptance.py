@@ -89,14 +89,12 @@ def events_from_schedule(schedule):
 
 def make_graph_data(weighted, x, y, graph_id="g"):
     w = np.asarray(weighted, dtype=float)
-    directed = ((w > w.T) & (w > 0)).astype(float) * w
     return GraphData(
         graph_id=graph_id,
         nodes=tuple(f"n{i}" for i in range(len(w))),
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=int),
         weighted=w,
-        directed=directed,
     )
 
 
@@ -147,7 +145,6 @@ def synthetic_split():
                 x=std.transform(m.x),
                 y=m.y.astype(float),
                 weighted=g.weighted,
-                directed=g.directed.astype(float),
             )
             for g, m, gid in part
         ]
@@ -555,7 +552,6 @@ def test_10_fixture_qualitative_checks():
         x=std.transform(mat.x),
         y=mat.y.astype(float),
         weighted=g.weighted,
-        directed=g.directed.astype(float),
     )
     config = ModelConfig(learning_rate=0.01, epochs=200)
     params, _ = train(config, [gd])

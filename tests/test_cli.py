@@ -464,7 +464,10 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     assert main(["graphs", "--out", str(settled)]) == 0
     index = json.loads(path.read_text())
     assert index["dropped"] == [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 1}]
+    for table in ("nodes", "weighted"):
+        assert not (settled / "graphs" / "test" / f"COIN01.{table}.tsv").exists()
     assert main(["featurize", "--out", str(settled)]) == 0
+    assert not (settled / "features" / "test.csv").exists()
     index["dropped"][0]["spreaders"] = 2
     path.write_text(json.dumps(index))
     assert main(["featurize", "--out", str(settled)]) == 3

@@ -24,7 +24,6 @@ from perseus.diffusion import (
     lambda_matrix,
     load_graph,
     load_graphs,
-    save_graph,
     save_graphs,
 )
 from perseus.evaluation import chronological_split
@@ -239,15 +238,22 @@ def test_matches_brute_force_on_random_instances():
 
 
 def test_graph_files_round_trip(tmp_path):
+    """save_graphs replaces the directory whole: the tables of a graph it
+    held before are gone."""
+    root = tmp_path / "graphs"
+    other = build_graph("ARB", "val", events_from(CANONICAL))
+    save_graphs(root, {other.graph_id: other}, [])
     graph = build_graph("SUI", "all", events_from(CANONICAL))
-    save_graph(graph, tmp_path)
-    again = load_graph(tmp_path, "SUI", "all")
+    written = save_graphs(root, {graph.graph_id: graph}, [])
+    again = load_graph(root / "all", "SUI", "all")
     assert again.nodes == graph.nodes
     assert again.cryptocurrency == "SUI" and again.period == "all"
     # weights persist at nine decimal places
     assert np.allclose(again.weighted, graph.weighted, atol=5e-10)
     assert np.array_equal(again.directed, graph.directed)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["SUI.nodes.tsv", "SUI.weighted.tsv"]
+    files = ["all/SUI.nodes.tsv", "all/SUI.weighted.tsv", "index.json"]
+    assert written == [root / name for name in files]
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*")) == ["all", *files]
 
 
 # The msg_dense, price_long and graph_wide bench shapes.
@@ -338,10 +344,11 @@ def test_bit_identical_to_the_pair_loops_on_synthetic_corpora(config):
     ],
 )
 def test_load_graph_names_the_malformed_line(tmp_path, table, line, problem):
-    save_graph(build_graph("SUI", "all", events_from(CANONICAL)), tmp_path)
-    path = tmp_path / f"SUI.{table}.tsv"
+    graph = build_graph("SUI", "all", events_from(CANONICAL))
+    save_graphs(tmp_path, {graph.graph_id: graph}, [])
+    path = tmp_path / "all" / f"SUI.{table}.tsv"
     n_lines = len(path.read_text().splitlines())
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
     with pytest.raises(ValueError, match=rf"SUI\.{table}\.tsv:{n_lines + 1}: {problem}"):
-        load_graph(tmp_path, "SUI", "all")
+        load_graph(tmp_path / "all", "SUI", "all")

@@ -147,6 +147,13 @@ def test_event_validation():
             direction=good.direction,
             messages=(*good.messages, dup.__class__(**{**dup.__dict__, "entity_id": "a"})),
         )
+    pid = good.messages[0].pid
+    for coin, direction in (("ARB", good.direction), ("SUI", TradeDirection.SHORT)):
+        with pytest.raises(ValueError, match=rf"pid {pid} is a SUI Long message, not {coin} {direction.value}$"):
+            CrowdPumpEvent(event_id=0, cryptocurrency=coin, direction=direction, messages=good.messages)
+    # segment_events builds each event with its stream's first coin and direction
+    with pytest.raises(ValueError, match="is a ARB Long message, not SUI Long$"):
+        segment_events([msg("a", 0), msg("b", 1, coin="ARB")], timedelta(hours=5))
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +302,9 @@ def test_an_event_naming_an_unknown_pid_is_named_by_line(tmp_path):
     by_pid = {m.pid: m for m in stream[:-1]}
     with pytest.raises(ValueError, match=rf"events.jsonl:2: unknown pid {stream[-1].pid}$"):
         read_events(path, by_pid)
+    rows = list(event_rows(build_event_sets(stream, one_period)))
+    rows[0]["cryptocurrency"] = "ARB"
+    write_jsonl(path, rows)
+    relabelled = rf"events.jsonl:1: pid {stream[0].pid} is a SUI Long message, not ARB Long$"
+    with pytest.raises(ValueError, match=relabelled):
+        read_events(path, {m.pid: m for m in stream})

@@ -34,14 +34,12 @@ from perseus.gnn.layers import Adam, bce_loss
 
 def make_graph(weighted, x, y, graph_id="g"):
     w = np.asarray(weighted, dtype=float)
-    directed = ((w > w.T) & (w > 0)).astype(float) * w
     return GraphData(
         graph_id=graph_id,
         nodes=tuple(f"n{i}" for i in range(len(w))),
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=int),
         weighted=w,
-        directed=directed,
     )
 
 
@@ -125,7 +123,6 @@ def random_graph_with_a_source(in_dim, seed, n=12):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n=n, in_dim=in_dim)
     g.weighted[:, 4] = 0.0
-    g.directed[:, 4] = 0.0
     return g
 
 
