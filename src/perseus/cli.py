@@ -388,7 +388,7 @@ def _flag(cfg: PipelineConfig) -> list[Path]:
     all_events = [e for events in event_sets.values() for e in events]
     all_events.sort(key=lambda e: e.event_id)
     flags = events_mod.flag_concurrent_broadcasts(all_events)
-    return [write_jsonl(cfg.out_dir / "flags.jsonl", map(asdict, flags))]
+    return [write_jsonl(cfg.out_dir / "flags.jsonl", map(vars, flags))]
 
 
 def _graphs(cfg: PipelineConfig) -> list[Path]:
@@ -443,7 +443,7 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     if features.exists():
         shutil.rmtree(features)
     written = [
-        write_jsonl(cfg.out_dir / "outcomes.jsonl", (asdict(outcomes[pid]) for pid in sorted(outcomes))),
+        write_jsonl(cfg.out_dir / "outcomes.jsonl", (vars(outcomes[pid]) for pid in sorted(outcomes))),
         write_json(features / "communities.json", communities),
         write_json(cfg.out_dir / STANDARDIZATION, standardizer.to_json(), indent=None),
     ]

@@ -159,7 +159,12 @@ def bce_grad_wrt_logits(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam over a list of parameter dicts."""
+    """Bias-corrected Adam over a list of parameter dicts.
+
+    The moments and the update run on one flat vector over every parameter
+    array, in the order of the gradient dicts; each step writes reshaped
+    views of the new vector back into the parameter dicts.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -167,20 +172,23 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m: dict[tuple[int, str], np.ndarray] = {}
-        self._v: dict[tuple[int, str], np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
 
     def step(self, params: list[dict[str, np.ndarray]], grads: list[dict[str, np.ndarray]]) -> None:
         self.step_count += 1
         t = self.step_count
-        for i, (layer, grad) in enumerate(zip(params, grads)):
-            for name, g in grad.items():
-                key = (i, name)
-                if key not in self._m:
-                    self._m[key] = np.zeros_like(g)
-                    self._v[key] = np.zeros_like(g)
-                m = self._m[key] = self.beta1 * self._m[key] + (1 - self.beta1) * g
-                v = self._v[key] = self.beta2 * self._v[key] + (1 - self.beta2) * g * g
-                m_hat = m / (1 - self.beta1**t)
-                v_hat = v / (1 - self.beta2**t)
-                layer[name] = layer[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        slots = [(layer, name) for layer, grad in zip(params, grads) for name in grad]
+        g = np.concatenate([grad[name].ravel() for grad in grads for name in grad])
+        if self._m is None:
+            self._m = np.zeros_like(g)
+            self._v = np.zeros_like(g)
+        m = self._m = self.beta1 * self._m + (1 - self.beta1) * g
+        v = self._v = self.beta2 * self._v + (1 - self.beta2) * g * g
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        flat = np.concatenate([layer[name].ravel() for layer, name in slots])
+        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        ends = np.cumsum([layer[name].size for layer, name in slots])
+        for (layer, name), part in zip(slots, np.split(flat, ends[:-1])):
+            layer[name] = part.reshape(layer[name].shape)

@@ -31,17 +31,6 @@ PRICE_HEADER = "timestamp,price,volume"
 _C_LOADTXT = np.lib.NumpyVersion(np.__version__) >= "1.23.0"
 
 
-class MissingData(Exception):
-    """The price series does not cover the requested window."""
-
-    def __init__(self, pair: str, window: str, pid: Optional[int] = None):
-        self.pair = pair
-        self.window = window
-        self.pid = pid
-        at = f" for pid {pid}" if pid is not None else ""
-        super().__init__(f"{pair}: no price data {window}{at}")
-
-
 class PriceFileError(ValueError):
     """A price CSV that cannot be read as a series; the message names it."""
 
@@ -173,64 +162,6 @@ def write_price_csv(path: Path | str, series: PriceSeries) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def price_at(series: PriceSeries, when: datetime, pid: Optional[int] = None) -> float:
-    """Price at `when`: the last point at or before it, else the first point
-    within ten minutes after. Raises MissingData when neither exists."""
-    t = _posix(when)
-    idx = int(np.searchsorted(series.ts, t, side="right")) - 1
-    if idx >= 0:
-        return float(series.price[idx])
-    limit = t + FORWARD_FILL_LIMIT.total_seconds()
-    nxt = int(np.searchsorted(series.ts, t, side="left"))
-    if nxt < len(series) and series.ts[nxt] <= limit:
-        return float(series.price[nxt])
-    raise MissingData(series.pair, f"at {when.isoformat()}", pid)
-
-
-def _window_indices(series: PriceSeries, start: datetime, window: timedelta) -> tuple[int, int]:
-    t0 = _posix(start)
-    lo = int(np.searchsorted(series.ts, t0, side="right"))
-    hi = int(np.searchsorted(series.ts, t0 + window.total_seconds(), side="right"))
-    return lo, hi
-
-
-def outcome(
-    series: PriceSeries,
-    message: CrowdPumpMessage,
-    rule: str = RETURN_DIRECTION_AWARE,
-    window: timedelta = OUTCOME_WINDOW,
-) -> MarketOutcome:
-    """One message's outcome over the window after its announcement.
-
-    The announcement point takes part in both window extremes. Long measures
-    the rise to the window maximum, short the fall to the window minimum;
-    `rule="paper_literal"` applies the long formula regardless of direction.
-    A target counts as achieved when the window reached it in the signal's
-    direction. Raises MissingData when there is no announcement price.
-    """
-    if rule not in RETURN_RULES:
-        raise ValueError(f"unknown return rule {rule!r}")
-    p0 = price_at(series, message.source_datetime, message.pid)
-    lo, hi = _window_indices(series, message.source_datetime, window)
-    prices = series.price[lo:hi]
-    high = max(p0, float(prices.max())) if len(prices) else p0
-    low = min(p0, float(prices.min())) if len(prices) else p0
-    is_long = message.trade_direction is TradeDirection.LONG
-    if is_long or rule == RETURN_PAPER_LITERAL:
-        extreme, ret = high, (high - p0) / p0
-    else:
-        extreme, ret = low, (p0 - low) / p0
-    targets = [float(t) for t in message.target_prices]
-    return MarketOutcome(
-        pid=message.pid,
-        announcement_price=p0,
-        extreme_price=extreme,
-        max_return=ret,
-        targets_achieved=sum(1 for t in targets if (t <= high if is_long else t >= low)),
-        targets_total=len(targets),
-    )
-
-
 def compute_outcomes(
     messages: Iterable[CrowdPumpMessage],
     series: Iterable[PriceSeries],
@@ -243,6 +174,8 @@ def compute_outcomes(
     is drawn, so a one-pass `iter_price_dir` holds one series at a time. A
     later series of a coin replaces the results of an earlier one.
     """
+    if rule not in RETURN_RULES:
+        raise ValueError(f"unknown return rule {rule!r}")
     messages = list(messages)
     by_coin: dict[str, list[CrowdPumpMessage]] = {}
     for message in messages:
@@ -250,13 +183,58 @@ def compute_outcomes(
     judged: dict[str, dict[int, MarketOutcome]] = {}
     for s in series:
         coin = normalize_symbol(s.pair)
-        results = judged[coin] = {}
-        for message in by_coin.get(coin, ()):
-            try:
-                results[message.pid] = outcome(s, message, rule)
-            except MissingData:
-                pass
+        judged[coin] = _judge(s, by_coin[coin], rule) if coin in by_coin else {}
         # Else the loop variable keeps this series alive while the next loads.
         del s
     outcomes = {pid: o for results in judged.values() for pid, o in results.items()}
     return outcomes, [m.pid for m in messages if m.pid not in outcomes]
+
+
+def _judge(series: PriceSeries, messages: list[CrowdPumpMessage], rule: str) -> dict[int, MarketOutcome]:
+    """The outcomes of one coin's messages over the window after each
+    announcement; a message without an announcement price has none.
+
+    The announcement price is the last point at or before the message, else
+    the first point within FORWARD_FILL_LIMIT after it. The announcement
+    point takes part in both window extremes. Long measures the rise to the
+    window maximum, short the fall to the window minimum;
+    `rule="paper_literal"` applies the long formula regardless of direction.
+    A target counts as achieved when the window reached it in the signal's
+    direction.
+    """
+    ts, price = series.ts, series.price
+    t = np.array([_posix(m.source_datetime) for m in messages])
+    lo = np.searchsorted(ts, t, side="right")
+    hi = np.searchsorted(ts, t + OUTCOME_WINDOW.total_seconds(), side="right")
+    announced = (lo > 0) | (ts[0] <= t + FORWARD_FILL_LIMIT.total_seconds())
+    # Before the first point, lo is 0 and the forward fill is that point.
+    p0 = price[np.maximum(lo - 1, 0)]
+    # Window k is price[lo[k]:hi[k]]; the pad keeps hi == len(ts) a valid
+    # index, and an empty window yields a value that p0 replaces.
+    bounds = np.column_stack([lo, hi]).ravel()
+    padded = np.append(price, price[-1])
+    empty = lo == hi
+    high = np.maximum(p0, np.where(empty, p0, np.maximum.reduceat(padded, bounds)[::2]))
+    low = np.minimum(p0, np.where(empty, p0, np.minimum.reduceat(padded, bounds)[::2]))
+    is_long = np.array([m.trade_direction is TradeDirection.LONG for m in messages])
+    up = is_long | (rule == RETURN_PAPER_LITERAL)
+    extreme = np.where(up, high, low)
+    ret = np.where(up, high - p0, p0 - low) / p0
+    # A long target is reached at or below the high, a short one at or above the low.
+    reach = np.where(is_long, high, low)
+    results = {}
+    rows = zip(messages, announced.tolist(), is_long.tolist(), p0.tolist(), extreme.tolist(),
+               ret.tolist(), reach.tolist())
+    for message, ok, long_, p, e, r, b in rows:
+        if not ok:
+            continue
+        targets = [float(x) for x in message.target_prices]
+        results[message.pid] = MarketOutcome(
+            pid=message.pid,
+            announcement_price=p,
+            extreme_price=e,
+            max_return=r,
+            targets_achieved=sum(1 for x in targets if (x <= b if long_ else x >= b)),
+            targets_total=len(targets),
+        )
+    return results

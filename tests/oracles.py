@@ -6,14 +6,16 @@ dicts and fractions instead of numpy arrays, Floyd-Warshall pair counting
 instead of Brandes accumulation, a dense linear solve instead of power
 iteration, pure-python scalar loops instead of vectorized layers, a re-count
 of every candidate cut pair instead of per-coin earliest ends, a
-`csv.DictReader`/`csv.writer` row loop instead of columnar price I/O, an
+`csv.DictReader`/`csv.writer` row loop instead of columnar price I/O, a
+search and a slice per message instead of one `reduceat` per price series, an
 alters × alters loop instead of in-order tie sums over a masked matrix, a
 bar loop over numpy scalars and `datetime` plans instead of one over
 Python floats, a dict of Louvain link weights instead of `np.bincount`,
 per-pair dicts of lambda weights and frozenset Jaccard ratios instead of
 broadcast rank blocks and an incidence product, a sorted list of
 (-weight, src, dst) tuples instead of `np.lexsort`, a scan for tie groups
-instead of `np.unique` counts.
+instead of `np.unique` counts, Adam moments per parameter array instead of
+over one flat vector.
 Agreement between the two routes is then evidence, not tautology.
 """
 
@@ -34,9 +36,18 @@ import numpy as np
 from perseus.evaluation import SPLIT_COARSE_CELLS, SplitInfeasible, _plan_for
 from perseus.features.ego import EGO_KEYS
 from perseus.gnn import bce_loss, forward
-from perseus.ingest import parse_timestamp
+from perseus.ingest import TradeDirection, normalize_symbol, parse_timestamp
 from perseus import synth
-from perseus.market import PriceSeries, _posix
+from perseus.market import (
+    FORWARD_FILL_LIMIT,
+    OUTCOME_WINDOW,
+    RETURN_DIRECTION_AWARE,
+    RETURN_PAPER_LITERAL,
+    RETURN_RULES,
+    MarketOutcome,
+    PriceSeries,
+    _posix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +580,81 @@ def reference_write_price_csv(path, series):
 
 
 # ---------------------------------------------------------------------------
+# market outcomes
+
+
+class MissingData(Exception):
+    """The price series does not cover the requested window."""
+
+
+def price_at(series, when, pid=None):
+    """Price at `when`: the last point at or before it, else the first point
+    within ten minutes after. Raises MissingData when neither exists."""
+    t = _posix(when)
+    idx = int(np.searchsorted(series.ts, t, side="right")) - 1
+    if idx >= 0:
+        return float(series.price[idx])
+    limit = t + FORWARD_FILL_LIMIT.total_seconds()
+    nxt = int(np.searchsorted(series.ts, t, side="left"))
+    if nxt < len(series) and series.ts[nxt] <= limit:
+        return float(series.price[nxt])
+    raise MissingData(f"{series.pair}: no price data at {when.isoformat()} for pid {pid}")
+
+
+def _window_indices(series, start, window):
+    t0 = _posix(start)
+    lo = int(np.searchsorted(series.ts, t0, side="right"))
+    hi = int(np.searchsorted(series.ts, t0 + window.total_seconds(), side="right"))
+    return lo, hi
+
+
+def reference_outcome(series, message, rule=RETURN_DIRECTION_AWARE, window=OUTCOME_WINDOW):
+    """One message's outcome, judged on its own: two or three searches, a
+    slice and its max and min per message. Raises MissingData when there is
+    no announcement price."""
+    if rule not in RETURN_RULES:
+        raise ValueError(f"unknown return rule {rule!r}")
+    p0 = price_at(series, message.source_datetime, message.pid)
+    lo, hi = _window_indices(series, message.source_datetime, window)
+    prices = series.price[lo:hi]
+    high = max(p0, float(prices.max())) if len(prices) else p0
+    low = min(p0, float(prices.min())) if len(prices) else p0
+    is_long = message.trade_direction is TradeDirection.LONG
+    if is_long or rule == RETURN_PAPER_LITERAL:
+        extreme, ret = high, (high - p0) / p0
+    else:
+        extreme, ret = low, (p0 - low) / p0
+    targets = [float(t) for t in message.target_prices]
+    return MarketOutcome(
+        pid=message.pid,
+        announcement_price=p0,
+        extreme_price=extreme,
+        max_return=ret,
+        targets_achieved=sum(1 for t in targets if (t <= high if is_long else t >= low)),
+        targets_total=len(targets),
+    )
+
+
+def reference_compute_outcomes(messages, series, rule=RETURN_DIRECTION_AWARE):
+    """`compute_outcomes` through `reference_outcome`, one message at a time."""
+    messages = list(messages)
+    by_coin = {}
+    for message in messages:
+        by_coin.setdefault(message.cryptocurrency, []).append(message)
+    judged = {}
+    for s in series:
+        coin = normalize_symbol(s.pair)
+        results = judged[coin] = {}
+        for message in by_coin.get(coin, ()):
+            try:
+                results[message.pid] = reference_outcome(s, message, rule)
+            except MissingData:
+                pass
+    outcomes = {pid: o for results in judged.values() for pid, o in results.items()}
+    return outcomes, [m.pid for m in messages if m.pid not in outcomes]
+
+
+# ---------------------------------------------------------------------------
 # synthetic prices
 
 
@@ -768,6 +854,35 @@ def graph_loss(params, config, graph):
     """The training loss of one graph, the function the gradient checks
     differentiate numerically."""
     return bce_loss(forward(params, config, graph), graph.y.astype(float))
+
+
+class ReferenceAdam:
+    """Bias-corrected Adam with its moments kept per parameter array, one
+    array at a time, instead of over one flat vector."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self._m = {}
+        self._v = {}
+
+    def step(self, params, grads):
+        self.step_count += 1
+        t = self.step_count
+        for i, (layer, grad) in enumerate(zip(params, grads)):
+            for name, g in grad.items():
+                key = (i, name)
+                if key not in self._m:
+                    self._m[key] = np.zeros_like(g)
+                    self._v[key] = np.zeros_like(g)
+                m = self._m[key] = self.beta1 * self._m[key] + (1 - self.beta1) * g
+                v = self._v[key] = self.beta2 * self._v[key] + (1 - self.beta2) * g * g
+                m_hat = m / (1 - self.beta1**t)
+                v_hat = v / (1 - self.beta2**t)
+                layer[name] = layer[name] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def params_to_vector(params: Sequence[dict[str, np.ndarray]]) -> np.ndarray:

@@ -553,6 +553,31 @@ def test_a_retune_draws_no_random_initialization(settled, tmp_path):
     assert loaded == "False" or eager == "True"
 
 
+def test_featurize_leaves_numpy_ma_unimported(settled, tmp_path):
+    """Featurize (outcomes, features and Louvain) runs without importing
+    numpy.ma, unless importing numpy already imports it, as numpy 1.x does."""
+    config = write_config(tmp_path / "rule.json", return_rule="paper_literal")
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from perseus.cli import main\n"
+        "assert main(['featurize', '--out', sys.argv[1], '--config', sys.argv[2]]) == 0\n"
+        "print(eager, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(settled), config],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PERSEUS_LOG="INFO"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.findall(r"perseus\.cli: (\w+): wrote \d+ artifact", done.stderr) == ["featurize"]
+    eager, loaded = done.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("importing numpy imports numpy.ma")
+    assert loaded == "False"
+
+
 @pytest.mark.parametrize(
     "stage, row",
     [

@@ -212,6 +212,28 @@ def test_adam_first_step_is_signed_learning_rate():
     np.testing.assert_allclose(params[0]["weight"], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("architecture", [ARCH_GAT, ARCH_SAGE])
+def test_flat_adam_matches_the_per_array_reference(architecture):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        config = ModelConfig(
+            architecture=architecture,
+            hidden_channels=int(rng.integers(2, 9)),
+            num_layers=int(rng.integers(1, 4)),
+        )
+        params = init_params(config, int(rng.integers(1, 7)))
+        reference = [{name: a.copy() for name, a in layer.items()} for layer in params]
+        flat, per_array = Adam(0.05), oracles.ReferenceAdam(0.05)
+        for _ in range(50):
+            grads = [{name: rng.normal(size=a.shape) for name, a in layer.items()} for layer in params]
+            flat.step(params, grads)
+            per_array.step(reference, grads)
+            for got, want in zip(params, reference):
+                assert sorted(got) == sorted(want)
+                for name in want:
+                    assert np.array_equal(got[name], want[name]), name
+
+
 # ---------------------------------------------------------------------------
 # training loop
 

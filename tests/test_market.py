@@ -2,7 +2,7 @@
 
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -13,16 +13,17 @@ import oracles
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.jsonfile import read_jsonl, write_jsonl
 from perseus.market import (
-    MissingData,
+    FORWARD_FILL_LIMIT,
+    OUTCOME_WINDOW,
     PriceFileError,
     PriceSeries,
+    RETURN_DIRECTION_AWARE,
     RETURN_PAPER_LITERAL,
+    RETURN_RULES,
     compute_outcomes,
     iter_price_dir,
     load_price_csv,
     load_price_dir,
-    outcome,
-    price_at,
     write_price_csv,
 )
 from perseus.synth import SynthConfig, generate_corpus, generate_prices
@@ -54,9 +55,21 @@ def signal(direction=TradeDirection.LONG, targets=("1.1",), coin="SUI", minute=0
     )
 
 
-def targets(s, message, **kwargs):
+def outcome(s, message, rule=RETURN_DIRECTION_AWARE):
+    """The outcome of one message judged on one series."""
+    outcomes, missing = compute_outcomes([message], [s], rule)
+    assert missing == []
+    return outcomes[message.pid]
+
+
+def announced(s, minute):
+    """The announcement price of a message `minute` minutes after T0."""
+    return outcome(s, signal(minute=minute)).announcement_price
+
+
+def targets(s, message):
     """(achieved, total) targets of one message's outcome."""
-    out = outcome(s, message, **kwargs)
+    out = outcome(s, message)
     return out.targets_achieved, out.targets_total
 
 
@@ -85,20 +98,17 @@ def test_series_rejects_non_finite_stamps_and_prices(ts, price, reason):
 
 def test_price_at_last_point_at_or_before():
     s = series([(0, 100.0), (5, 102.0)])
-    assert price_at(s, T0 + timedelta(minutes=3)) == 100.0
-    assert price_at(s, T0 + timedelta(minutes=5)) == 102.0
-    assert price_at(s, T0) == 100.0
+    assert announced(s, 3) == 100.0
+    assert announced(s, 5) == 102.0
+    assert announced(s, 0) == 100.0
 
 
 def test_price_at_forward_fills_up_to_ten_minutes():
     s = series([(4, 100.0)])
-    assert price_at(s, T0) == 100.0
-    with pytest.raises(MissingData):
-        price_at(series([(11, 100.0)]), T0, pid=9)
-    try:
-        price_at(series([(11, 100.0)]), T0, pid=9)
-    except MissingData as err:
-        assert "9" in str(err) or err.pid == 9
+    assert announced(s, 0) == 100.0
+    outcomes, missing = compute_outcomes([signal(pid=9)], [series([(11, 100.0)])])
+    assert outcomes == {}
+    assert missing == [9]
 
 
 def test_long_max_return_worked_example():
@@ -118,7 +128,7 @@ def test_paper_literal_rule_uses_the_high_for_shorts():
     assert outcome(s, short, rule=RETURN_PAPER_LITERAL).max_return == pytest.approx(0.05, abs=1e-12)
     for direction in TradeDirection:
         with pytest.raises(ValueError):
-            outcome(s, signal(direction=direction), rule="optimistic")
+            compute_outcomes([signal(direction=direction)], [s], rule="optimistic")
 
 
 def test_announcement_point_caps_losses_at_zero():
@@ -138,7 +148,7 @@ def test_direction_symmetry_on_inverted_series_at_tick_scale():
     # order; at a 1e-5 move the second-order gap is ~1e-10
     move = 1e-5
     s = series([(0, 1.0), (60, 1.0 + move)])
-    inverted = PriceSeries(pair="X", ts=s.ts.copy(), price=1.0 / s.price, volume=s.volume.copy())
+    inverted = PriceSeries(pair=s.pair, ts=s.ts.copy(), price=1.0 / s.price, volume=s.volume.copy())
     long_leg = outcome(s, signal()).max_return
     short_leg = outcome(inverted, signal(direction=TradeDirection.SHORT)).max_return
     assert long_leg == pytest.approx(move, rel=1e-6)
@@ -175,7 +185,9 @@ def test_targets_achieved_of_the_short_contract_listing():
 
 def test_targets_achieved_is_monotone_in_the_window():
     s = series([(0, 100.0), (30, 104.0), (48 * 60, 112.0)])
-    early = targets(s, signal(targets=("103", "111")), window=timedelta(hours=1))
+    # A series that ends within the hour judges the message as a one-hour window would.
+    first_hour = series([(0, 100.0), (30, 104.0)])
+    early = targets(first_hour, signal(targets=("103", "111")))
     late = targets(s, signal(targets=("103", "111")))
     assert early == (1, 2)
     assert late == (2, 2)
@@ -203,6 +215,55 @@ def test_a_later_series_of_a_coin_replaces_the_earlier_results():
     assert missing == [1, 3]
     assert sorted(outcomes) == [2]
     assert outcomes[2].announcement_price == 50.0
+
+
+WINDOW_S = OUTCOME_WINDOW.total_seconds()
+FILL_S = FORWARD_FILL_LIMIT.total_seconds()
+# Message offsets from a bar, in seconds: on the bar, either side of it, at
+# and around the forward-fill limit, and with the window ending on the bar.
+OFFSETS = (0, 1, -1, -FILL_S, -FILL_S - 1, -FILL_S + 1, -WINDOW_S, -WINDOW_S - 1, -WINDOW_S + 1)
+
+
+def random_case(rng):
+    """Messages and price series with irregular whole-second stamps for one
+    to three coins; the later coins may have no series, or two of them."""
+    messages, all_series = [], []
+    for c in range(int(rng.integers(1, 4))):
+        coin = f"C{c}"
+        n = int(rng.integers(1, 25))
+        gaps = rng.choice([1, 60, 599, 600, 3600, 6 * 3600, 30 * 3600], size=n)
+        ts = T0.timestamp() + np.cumsum(gaps).astype(float)
+        price = rng.choice([0.5, 1.0, 1.5, 2.0], size=n) + rng.integers(0, 3, size=n) * 0.25
+        draws = rng.random()
+        if c == 0 or draws > 0.2:
+            all_series.append(PriceSeries(f"{coin}USDT", ts, price, np.zeros(n)))
+        if draws > 0.85:
+            all_series.append(PriceSeries(f"{coin}BUSD", ts[::2], price[::2] * 2, np.zeros(len(ts[::2]))))
+        for _ in range(int(rng.integers(1, 12))):
+            k = int(rng.integers(n))
+            if rng.random() < 0.7:
+                t = ts[k] + OFFSETS[int(rng.integers(len(OFFSETS)))]
+            else:
+                t = ts[k] + float(rng.integers(-2 * 86400, 4 * 86400))
+            # Targets on window prices, so some sit exactly on an extreme.
+            targets = [repr(float(x)) for x in rng.choice(price, size=int(rng.integers(1, 5)))]
+            targets += [repr(float(rng.uniform(0.4, 2.6)))] * int(rng.integers(0, 2))
+            direction = TradeDirection.LONG if rng.random() < 0.5 else TradeDirection.SHORT
+            message = signal(direction=direction, targets=targets, coin=coin, pid=len(messages) + 1)
+            messages.append(replace(message, source_datetime=datetime.fromtimestamp(t, timezone.utc)))
+    return messages, all_series
+
+
+def test_bulk_judge_matches_the_per_message_reference():
+    rng = np.random.default_rng(24)
+    judged = missed = 0
+    for _ in range(250):
+        messages, all_series = random_case(rng)
+        for rule in RETURN_RULES:
+            got = compute_outcomes(messages, all_series, rule)
+            assert got == oracles.reference_compute_outcomes(messages, all_series, rule)
+            judged, missed = judged + len(got[0]), missed + len(got[1])
+    assert judged > 1000 and missed > 1000
 
 
 def test_outcome_file_round_trip(tmp_path):
