@@ -148,8 +148,7 @@ _FIELDS: dict[str, tuple] = {
     "model": ({}, lambda v: isinstance(v, dict), dict, "an object"),
 }
 
-# Every model field has a default, whose type is the type the config must give.
-_MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig)}
+_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
 
 
 def build_config(
@@ -184,18 +183,9 @@ def build_config(
         values[name] = kind(value)
 
     model_raw = {**values.pop("model"), **(model_overrides or {})}
-    problems += [f"model.{key}: unknown field" for key in sorted(set(model_raw) - set(_MODEL_FIELDS))]
-    model_kwargs: dict = {}
-    for key, kind in _MODEL_FIELDS.items():
-        if key not in model_raw:
-            continue
-        value = model_raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            problems.append(f"model.{key}: expected {kind.__name__}, got {value!r}")
-        else:
-            model_kwargs[key] = kind(value)
+    problems += [f"model.{key}: unknown field" for key in sorted(set(model_raw) - _MODEL_FIELDS)]
     try:
-        model = ModelConfig(**model_kwargs)
+        model = ModelConfig(**{key: value for key, value in model_raw.items() if key in _MODEL_FIELDS})
     except ModelConfigError as exc:
         problems += [f"model.{problem}" for problem in exc.problems]
 
@@ -216,6 +206,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _name(cfg: PipelineConfig, path: Path) -> str:
+    """`path` relative to the out dir when under it, which every output is,
+    so a copied or moved out dir keeps its cache."""
+    path = Path(path)
+    return str(path.relative_to(cfg.out_dir) if path.is_relative_to(cfg.out_dir) else path)
+
+
+def _cache_key(cfg: PipelineConfig, settings: dict, files: Sequence[Path]) -> tuple[str, dict]:
+    """The hash of `settings` and, by _name, the hash of every file in
+    `files` ("absent" for a missing one)."""
+    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
+    return config_hash, {_name(cfg, p): _sha256(p) if p.exists() else "absent" for p in files}
+
+
 def run_stage(
     name: str,
     cfg: PipelineConfig,
@@ -228,25 +232,15 @@ def run_stage(
 
     The key is `settings` (the config values the stage uses) plus the hash
     of every file in `inputs`, which must exist, and of every file in
-    `optional`, which enters as "absent" when missing. Files under the out
-    dir, which every output is, are named relative to it, so a copied or
-    moved out dir keeps its cache. A run's manifest also records the runner's
-    wall `seconds`, the process's `peak_rss_kb` so far and the `reason` it
-    ran.
+    `optional`, which enters as "absent" when missing. A run's manifest also
+    records the runner's wall `seconds`, the process's `peak_rss_kb` so far
+    and the `reason` it ran.
     """
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
-
-    def key(path: Path) -> str:
-        path = Path(path)
-        return str(path.relative_to(cfg.out_dir) if path.is_relative_to(cfg.out_dir) else path)
-
-    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
-    input_hashes = {key(p): _sha256(p) for p in sorted(inputs)}
-    for p in optional:
-        input_hashes[key(p)] = _sha256(p) if p.exists() else "absent"
+    config_hash, input_hashes = _cache_key(cfg, settings, [*inputs, *optional])
     reason = _rerun_reason(manifest_path, cfg.out_dir, config_hash, input_hashes)
     if reason is None:
         logger.info("%s: inputs unchanged, skipping", name)
@@ -257,7 +251,7 @@ def run_stage(
         "stage": name,
         "config_hash": config_hash,
         "inputs": input_hashes,
-        "outputs": {key(p): _sha256(Path(p)) for p in sorted(set(outputs))},
+        "outputs": {_name(cfg, p): _sha256(Path(p)) for p in sorted(set(outputs))},
         "seconds": time.perf_counter() - started,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "reason": reason,
@@ -300,10 +294,11 @@ STANDARDIZATION = "features/standardization.json"
 
 
 def _features_path(cfg: PipelineConfig, split: str) -> Path:
-    """features/<split>.csv, or features/all.csv after `events --single-period`."""
+    """features/<split>.csv; for train, features/all.csv where that is the
+    one feature file, after `events --single-period`."""
     path = cfg.out_dir / "features" / f"{split}.csv"
     alt = cfg.out_dir / "features" / "all.csv"
-    return alt if not path.exists() and alt.exists() else path
+    return alt if split == "train" and not path.exists() and alt.exists() else path
 
 
 def _split_features(cfg: PipelineConfig, opts: dict) -> list[Path]:
@@ -323,12 +318,22 @@ def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
 
 def _require_graphs_in(stage: str, cfg: PipelineConfig, split: str) -> None:
     """A data error naming `split` when the graph index lists no graph in
-    its period (`all` after `events --single-period`)."""
+    that period."""
     root = cfg.out_dir / "graphs"
     index = root / diffusion.INDEX
-    period = _features_path(cfg, split).stem
-    if index.exists() and period not in {p for p, _ in _read(stage, diffusion.graph_index, root)}:
+    if index.exists() and split not in {p for p, _ in _read(stage, diffusion.graph_index, root)}:
         raise DataError(f"{stage}: split {split!r} is empty: {index} lists no graph in it")
+
+
+def _require_current_graphs(stage: str, cfg: PipelineConfig) -> None:
+    """A data error unless `perseus graphs` would skip now: its settings,
+    its inputs and the outputs its manifest records are unchanged. Called
+    after load_graphs, so a malformed table line is named by file and line."""
+    graphs = STAGES["graphs"]
+    key = _cache_key(cfg, _settings(cfg, {}, graphs.keys), _paths(cfg, {}, graphs.reads))
+    reason = _rerun_reason(cfg.out_dir / "manifests" / "graphs.json", cfg.out_dir, *key)
+    if reason is not None:
+        raise DataError(f"{stage}: {cfg.out_dir / 'graphs'} is not current ({reason}); run perseus graphs")
 
 
 def _read(stage: str, read: Callable, *args):
@@ -404,10 +409,8 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
 
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg, "featurize")
-    graph_dir = cfg.out_dir / "graphs"
-    graphs = _read("featurize", diffusion.load_graphs, graph_dir)
-    # After load_graphs, so a malformed line is named by file and line.
-    _read("featurize", diffusion.check_graph_dir, graph_dir, event_sets, cfg.aggregation)
+    graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
+    _require_current_graphs("featurize", cfg)
     prices = market.iter_price_dir(cfg.prices_dir) if cfg.prices_dir else ()
     outcomes, missing = _read("featurize", market.compute_outcomes, messages, prices, cfg.return_rule)
     labels = {}
@@ -458,6 +461,7 @@ def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData
     stored graphs, in graph id order."""
     standardizer = _read(stage, read_json, cfg.out_dir / STANDARDIZATION, Standardizer.from_json)
     graphs = _read(stage, diffusion.load_graphs, cfg.out_dir / "graphs")
+    _require_current_graphs(stage, cfg)
     matrices = _read(stage, read_features_csv, _features_path(cfg, split))
     data = []
     for mat in sorted(matrices, key=lambda m: m.graph_id):
@@ -656,7 +660,7 @@ STAGES: dict[str, Stage] = {
             lambda cfg, o: [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir),
         ),
         reads_if_present=(lambda cfg, o: [cfg.labels] if cfg.labels else [],),
-        keys=("return_rule", "aggregation"),
+        keys=("return_rule",),
     ),
     "train": Stage(
         "train the spreader classifier",

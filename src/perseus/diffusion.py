@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .events import CrowdPumpEvent
-from .jsonfile import json_text, read_json
+from .jsonfile import read_json, write_json
 
 MIN_SPREADERS = 4
 
@@ -142,12 +142,6 @@ def build_graphs(
 ) -> tuple[dict[str, DiffusionGraph], list[tuple[str, str, int]]]:
     """Build one graph per (period, coin); undersized coins are dropped and
     reported as (period, coin, spreader count)."""
-    return _build(event_sets, mode)
-
-
-def _build(event_sets, mode):
-    # build_graphs' loop, apart from the public name that perfbench traces,
-    # so check_graph_dir does not count as a second build.
     graphs: dict[str, DiffusionGraph] = {}
     dropped: list[tuple[str, str, int]] = []
     for (period, coin), events in sorted(event_sets.items()):
@@ -167,38 +161,10 @@ def _build(event_sets, mode):
 
 GRAPH_TABLES = (".nodes.tsv", ".weighted.tsv")
 INDEX = "index.json"
-WEIGHT_FORMAT = ".9f"
 
 
 def _tables(directory: Path, coin: str) -> list[Path]:
     return [directory / f"{coin}{table}" for table in GRAPH_TABLES]
-
-
-def _render(
-    root: Path, graphs: Mapping[str, DiffusionGraph], dropped: Sequence[tuple[str, str, int]]
-) -> dict[Path, str]:
-    """The text of every file under `root` for `graphs` and `dropped`: each
-    graph's GRAPH_TABLES in graph id order, then the index.
-
-    Weighted edges go to a src<TAB>dst<TAB>weight TSV with nine decimal
-    places; the node index maps row number to entity id. The orientation is
-    not stored, as it is a function of the weights (DiffusionGraph.directed).
-    """
-    listed = sorted(graphs.values(), key=lambda graph: graph.graph_id)
-    texts: dict[Path, str] = {}
-    for graph in listed:
-        nodes, weighted = graph.nodes, graph.weighted
-        nodes_path, weighted_path = _tables(root / graph.period, graph.cryptocurrency)
-        texts[nodes_path] = "".join(f"{i}\t{entity}\n" for i, entity in enumerate(nodes))
-        texts[weighted_path] = "".join(
-            f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:{WEIGHT_FORMAT}}\n"
-            for r, s in zip(*np.nonzero(weighted > 0))
-        )
-    texts[root / INDEX] = json_text({
-        "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in listed],
-        "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
-    })
-    return texts
 
 
 def save_graphs(
@@ -206,30 +172,36 @@ def save_graphs(
     graphs: Mapping[str, DiffusionGraph],
     dropped: Sequence[tuple[str, str, int]],
 ) -> list[Path]:
-    """Replace `root` with the tables of every graph and the index; the
-    files written."""
+    """Replace `root` with the tables of every graph, in graph id order, and
+    the index; the files written.
+
+    Weighted edges go to a src<TAB>dst<TAB>weight TSV with nine decimal
+    places; the node index maps row number to entity id. The orientation is
+    not stored, as it is a function of the weights (DiffusionGraph.directed).
+    """
     root = Path(root)
-    texts = _render(root, graphs, dropped)
     if root.exists():
         shutil.rmtree(root)
-    for path, text in texts.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    return list(texts)
-
-
-def check_graph_dir(
-    root: Path | str,
-    event_sets: Mapping[tuple[str, str], Sequence[CrowdPumpEvent]],
-    mode: str = AGG_PRODUCT,
-) -> None:
-    """Raise ValueError naming the first file under `root`, in save_graphs'
-    order, that is not what save_graphs writes for what build_graphs makes
-    of `event_sets` under `mode`."""
-    root = Path(root)
-    for path, text in _render(root, *_build(event_sets, mode)).items():
-        if not (path.is_file() and path.read_bytes() == text.encode("utf-8")):
-            raise ValueError(f"{path}: not the {mode} graph file of these events")
+    listed = sorted(graphs.values(), key=lambda graph: graph.graph_id)
+    written: list[Path] = []
+    for graph in listed:
+        nodes, weighted = graph.nodes, graph.weighted
+        nodes_path, weighted_path = _tables(root / graph.period, graph.cryptocurrency)
+        nodes_path.parent.mkdir(parents=True, exist_ok=True)
+        nodes_path.write_text("".join(f"{i}\t{entity}\n" for i, entity in enumerate(nodes)), encoding="utf-8")
+        weighted_path.write_text(
+            "".join(
+                f"{nodes[r]}\t{nodes[s]}\t{weighted[r, s]:.9f}\n"
+                for r, s in zip(*np.nonzero(weighted > 0))
+            ),
+            encoding="utf-8",
+        )
+        written += [nodes_path, weighted_path]
+    index = {
+        "graphs": [{"period": g.period, "coin": g.cryptocurrency} for g in listed],
+        "dropped": [{"period": p, "cryptocurrency": c, "spreaders": n} for p, c, n in dropped],
+    }
+    return written + [write_json(root / INDEX, index)]
 
 
 def graph_index(root: Path | str) -> list[tuple[str, str]]:

@@ -9,7 +9,7 @@ budget of `epochs` epochs and ships the final epoch's parameters.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -50,6 +50,19 @@ class ModelConfigError(ValueError):
         self.problems = list(problems)
 
 
+# Each ModelConfig field's rule: (test, what breaking it is, formatted with the value).
+_RULES = {
+    "architecture": (ARCHITECTURES.__contains__, "unknown {!r}"),
+    "graph_variant": (VARIANTS.__contains__, "unknown {!r}"),
+    "hidden_channels": (lambda v: v >= 1, "must be positive"),
+    "num_layers": (lambda v: v >= 1, "must be at least 1"),
+    "learning_rate": (lambda v: v > 0, "must be positive"),
+    "epochs": (lambda v: v >= 1, "must be positive"),
+    "seed": (lambda v: v >= 0, "must be non-negative"),
+    "threshold": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     architecture: str = ARCH_SAGE
@@ -62,18 +75,21 @@ class ModelConfig:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        """Raises ModelConfigError naming every field that breaks its rule."""
-        rules = (
-            ("architecture", self.architecture in ARCHITECTURES, f"unknown {self.architecture!r}"),
-            ("graph_variant", self.graph_variant in VARIANTS, f"unknown {self.graph_variant!r}"),
-            ("hidden_channels", self.hidden_channels >= 1, "must be positive"),
-            ("num_layers", self.num_layers >= 1, "must be at least 1"),
-            ("learning_rate", self.learning_rate > 0, "must be positive"),
-            ("epochs", self.epochs >= 1, "must be positive"),
-            ("seed", self.seed >= 0, "must be non-negative"),
-            ("threshold", 0.0 <= self.threshold <= 1.0, "must be in [0, 1]"),
-        )
-        problems = [f"{name}: {broken}" for name, ok, broken in rules if not ok]
+        """Raises ModelConfigError naming every field of the wrong type, then
+        every other field that breaks its rule. A field's type is its
+        default's; a bool is never a number, and an int widens to float."""
+        problems, typed = [], {}
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                problems.append(f"{f.name}: expected {kind.__name__}, got {value!r}")
+            else:
+                typed[f.name] = kind(value)
+                object.__setattr__(self, f.name, typed[f.name])
+        for name, value in typed.items():
+            ok, broken = _RULES[name]
+            if not ok(value):
+                problems.append(f"{name}: {broken.format(value)}")
         if problems:
             raise ModelConfigError(problems)
 

@@ -15,15 +15,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
 
-def json_text(obj, indent: Optional[int] = 1) -> str:
-    """The text write_json writes for `obj`."""
-    return json.dumps(obj, indent=indent, sort_keys=True)
-
-
 def write_json(path: Path | str, obj, indent: Optional[int] = 1) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_text(obj, indent), encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=indent, sort_keys=True), encoding="utf-8")
     return path
 
 

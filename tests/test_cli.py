@@ -289,7 +289,7 @@ CACHE_KEYS = {
              ["events.jsonl", "messages.jsonl"]),
     "graphs": ("db7863992057180bdfa32cf5099f1fb69a9ee03e1c303ee8b690f7c07f07168a",
                ["events.jsonl", "messages.jsonl"]),
-    "featurize": ("d137160b111fc2de401e0817acc5154e3d62e8450c33f849c3438219b09c90b0",
+    "featurize": ("88e48b460e31ed6b5f60a89b7ea9f714c10a8f5a294980b487399ecf65a59c1a",
                   ["data/labels.json", *PRICE_FILES, "events.jsonl", "graphs/index.json",
                    *GRAPH_FILES, "messages.jsonl"]),
     "train": ("6358d085d93f7721339dd527796d2cf804f43b39592a67c28179ab5d4c97aee8",
@@ -431,15 +431,16 @@ def test_a_bad_price_file_of_a_coin_no_message_names_fails_with_exit_3(settled, 
     assert "data error: featurize:" in err and path.name in err
 
 
-def not_built(path, mode="dani_product"):
-    """What featurize prints when `path` is not what graphs writes."""
-    return f"data error: featurize: {path}: not the {mode} graph file of these events\n"
+def not_current(out, reason, stage="featurize"):
+    """What `stage` prints when `perseus graphs` would re-run on `out` for `reason`."""
+    return f"data error: {stage}: {out / 'graphs'} is not current ({reason}); run perseus graphs\n"
 
 
 def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     """Every (period, coin) of events.jsonl is a graph of the index or is
     dropped there with its spreader count, which is below the minimum; the
-    index drops nothing else and lists its graphs in graph id order."""
+    index drops nothing else and lists its graphs in graph id order. Any
+    edit to the index is one the graphs stage did not write."""
     path = settled / "graphs" / "index.json"
     index = json.loads(path.read_text())
     left_out = [g for g in index["graphs"] if g != {"period": "test", "coin": "COIN01"}]
@@ -453,7 +454,7 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     ):
         path.write_text(json.dumps(edited))
         assert main(["featurize", "--out", str(settled)]) == 3
-        assert capsys.readouterr().err == not_built(path)
+        assert capsys.readouterr().err == not_current(settled, "outputs changed: graphs/index.json")
 
     events = settled / "events.jsonl"
     rows = [json.loads(row) for row in events.read_text().splitlines()]
@@ -471,15 +472,14 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     index["dropped"][0]["spreaders"] = 2
     path.write_text(json.dumps(index))
     assert main(["featurize", "--out", str(settled)]) == 3
-    assert capsys.readouterr().err == not_built(path)
+    assert capsys.readouterr().err == not_current(settled, "outputs changed: graphs/index.json")
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
-    """A malformed graph table, and graph files other than those the graphs
-    stage writes for events.jsonl under featurize's `aggregation`, stop
-    featurize: graphs that events.jsonl no longer matches (emptied, or one
-    graph's events removed), an emptied table, a weight one digit off, and
-    graphs rebuilt under the other aggregation."""
+    """A malformed graph table, and graph files that the graphs stage would
+    re-run for, stop featurize: graphs that events.jsonl no longer matches
+    (emptied, or one graph's events removed), an emptied table, a weight one
+    digit off, and graphs rebuilt under the other aggregation."""
     index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
     graph_id = f"{index['period']}/{index['coin']}"
     events = [json.loads(row) for row in (settled / "events.jsonl").read_text().splitlines()]
@@ -501,7 +501,7 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
             want = f"data error: featurize: {out / 'events.jsonl'}: no events\n"
         elif case == "one_graph_without_events":
             (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in others))
-            want = not_built(out / "graphs" / "index.json")
+            want = not_current(out, "inputs changed: events.jsonl")
         else:
             if case == "no_edges":
                 path.write_text("")
@@ -511,10 +511,48 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
                 path.write_text("".join([first[:-2] + digit + "\n", *rest]))
             else:
                 assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
-            want = not_built(path)
+            reason = "settings changed" if case == "quotient" else f"outputs changed: {path.relative_to(out)}"
+            want = not_current(out, reason)
         assert main(["featurize", "--out", str(out)]) == 3, case
         assert capsys.readouterr().err == want, case
     assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
+
+
+@pytest.mark.parametrize("stage", ["featurize", "train", "infer"])
+def test_a_stage_reads_graphs_only_while_the_graphs_stage_would_skip(settled, tmp_path, capsys, stage):
+    """Featurize, train and infer stop with the reason `perseus graphs`
+    would re-run: an emptied table, an index rewritten with the same
+    content, a changed events.jsonl, graphs rebuilt under the other
+    aggregation, and no graphs manifest. The stage's own manifest is
+    removed, so it runs rather than skips."""
+    table = Path("graphs/test/COIN01.weighted.tsv")
+    quotient = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
+
+    def edit_index(out):
+        path = out / "graphs" / "index.json"
+        path.write_text(json.dumps(json.loads(path.read_text())))
+
+    def edit_events(out):
+        path = out / "events.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+    cases = {
+        "emptied_table": (lambda out: (out / table).write_text(""), f"outputs changed: {table}"),
+        "edited_index": (edit_index, "outputs changed: graphs/index.json"),
+        "changed_events": (edit_events, "inputs changed: events.jsonl"),
+        "other_aggregation": (
+            lambda out: main(["graphs", "--out", str(out), "--config", quotient]), "settings changed"
+        ),
+        "no_manifest": (lambda out: (out / "manifests" / "graphs.json").unlink(), "no manifest"),
+    }
+    for case, (edit, reason) in cases.items():
+        out = tmp_path / case
+        shutil.copytree(settled, out)
+        edit(out)
+        (out / "manifests" / f"{stage}.json").unlink()
+        capsys.readouterr()
+        assert main([stage, "--out", str(out)]) == 3, case
+        assert capsys.readouterr().err == not_current(out, reason, stage), case
 
 
 @pytest.mark.parametrize("stage", ["flag", "graphs"])
@@ -730,6 +768,26 @@ def test_an_empty_split_is_named(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_a_single_period_run_has_no_test_split(tmp_path, capsys):
+    """After `events --single-period`, features/all.csv serves train only:
+    infer and evaluate without --split name the empty test split."""
+    out = tmp_path / "sui"
+    config = write_config(
+        tmp_path / "config.json",
+        out_dir=str(out),
+        corpus=str(FIXTURES / "sui_case.jsonl"),
+        labels=str(FIXTURES / "sui_labels.json"),
+        model={"epochs": 2},
+    )
+    for args in (["parse"], ["events", "--single-period"], ["graphs"], ["featurize"], ["train"]):
+        assert main([*args, "--config", config]) == 0, args
+    index = out / "graphs" / "index.json"
+    for stage in ("infer", "evaluate"):
+        assert main([stage, "--config", config]) == 3
+        want = f"data error: {stage}: split 'test' is empty: {index} lists no graph in it\n"
+        assert capsys.readouterr().err == want
+
+
 def test_bad_config_reports_every_problem(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(
@@ -897,9 +955,10 @@ def test_seed_is_a_flag_of_train_and_all_only(capsys):
             + obj["layers"][1:],
         },
         lambda obj: {**obj, "config": {**obj["config"], "threshold": 1.5, "learning_rate": -1}},
+        lambda obj: {**obj, "config": {**obj["config"], "threshold": True}},
     ],
     ids=["format_version", "architecture", "not_an_object", "dropped_layer", "weight_shape",
-         "out_of_range"],
+         "out_of_range", "bool_threshold"],
 )
 def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
     path = settled / "model.json"
@@ -1004,14 +1063,11 @@ def corruption_cases(out):
 
 # The cases the sweep lets pass, so that a data check which stops firing is
 # seen: a corpus line the parser skips (an appended `x`, a cut last line),
-# an emptied table that train and infer do not compare with events.jsonl,
 # and a flags.jsonl that is valid when cut or emptied (the default run's is
 # already empty; the flagged copy's one row cannot be cut to a valid line).
 EXIT_0_CASES = [
     ("default", "parse", "data/corpus.jsonl", "append"),
     ("default", "parse", "data/corpus.jsonl", "truncate"),
-    ("default", "train", "graphs/test/COIN01.weighted.tsv", "empty"),
-    ("default", "infer", "graphs/test/COIN01.weighted.tsv", "empty"),
     ("default", "evaluate", "flags.jsonl", "truncate"),
     ("default", "evaluate", "flags.jsonl", "empty"),
     ("flagged", "evaluate", "flags.jsonl", "empty"),
