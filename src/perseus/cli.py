@@ -199,6 +199,9 @@ def build_config(
 
 
 def _sha256(path: Path) -> str:
+    """The hash of `path`, or "absent" where there is no such file."""
+    if not path.is_file():
+        return "absent"
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -211,13 +214,6 @@ def _name(cfg: PipelineConfig, path: Path) -> str:
     so a copied or moved out dir keeps its cache."""
     path = Path(path)
     return str(path.relative_to(cfg.out_dir) if path.is_relative_to(cfg.out_dir) else path)
-
-
-def _cache_key(cfg: PipelineConfig, settings: dict, files: Sequence[Path]) -> tuple[str, dict]:
-    """The hash of `settings` and, by _name, the hash of every file in
-    `files` ("absent" for a missing one)."""
-    config_hash = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
-    return config_hash, {_name(cfg, p): _sha256(p) if p.exists() else "absent" for p in files}
 
 
 def run_stage(
@@ -240,8 +236,8 @@ def run_stage(
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
-    config_hash, input_hashes = _cache_key(cfg, settings, [*inputs, *optional])
-    reason = _rerun_reason(manifest_path, cfg.out_dir, config_hash, input_hashes)
+    input_hashes = {_name(cfg, p): _sha256(p) for p in [*inputs, *optional]}
+    reason = _rerun_reason(_manifest(manifest_path), settings, input_hashes, cfg.out_dir)
     if reason is None:
         logger.info("%s: inputs unchanged, skipping", name)
         return
@@ -249,7 +245,7 @@ def run_stage(
     outputs = runner()
     manifest = {
         "stage": name,
-        "config_hash": config_hash,
+        "settings": settings,
         "inputs": input_hashes,
         "outputs": {_name(cfg, p): _sha256(Path(p)) for p in sorted(set(outputs))},
         "seconds": time.perf_counter() - started,
@@ -260,29 +256,35 @@ def run_stage(
     logger.info("%s: wrote %d artifact(s)", name, len(outputs))
 
 
-def _rerun_reason(
-    manifest_path: Path, out_dir: Path, config_hash: str, input_hashes: dict[str, str]
-) -> Optional[str]:
-    """Why a stage must run: no manifest, changed settings, or the keys of
-    the changed inputs or outputs. None when the stored manifest holds."""
+def _manifest(path: Path) -> Optional[dict]:
+    """The manifest at `path`, or None where there is none: no file, not JSON,
+    or no `settings` (as plain JSON), `inputs` and `outputs` objects."""
     try:
-        stored = read_json(manifest_path)
+        stored = read_json(path)
     except (FileNotFoundError, ValueError):
+        return None
+    keys = ("settings", "inputs", "outputs")
+    return stored if isinstance(stored, dict) and all(isinstance(stored.get(k), dict) for k in keys) else None
+
+
+def _rerun_reason(
+    stored: Optional[dict], settings: dict, input_hashes: dict[str, str], out_dir: Optional[Path] = None
+) -> Optional[str]:
+    """Why a stage must run: no manifest, changed settings, the keys of the
+    changed inputs or, given `out_dir`, of the changed outputs. None when
+    the stored manifest holds."""
+    if stored is None:
         return "no manifest"
-    if stored.get("config_hash") != config_hash:
+    if json.dumps(stored["settings"], sort_keys=True) != json.dumps(settings, sort_keys=True):
         return "settings changed"
-    old = stored.get("inputs", {})
+    old = stored["inputs"]
     changed = sorted(k for k in old.keys() | input_hashes.keys() if old.get(k) != input_hashes.get(k))
     if changed:
         return f"inputs changed: {', '.join(changed)}"
-    changed = sorted(
-        p
-        for p, h in stored.get("outputs", {}).items()
-        if not (out_dir / p).exists() or _sha256(out_dir / p) != h
-    )
-    if changed:
-        return f"outputs changed: {', '.join(changed)}"
-    return None
+    if out_dir is None:
+        return None
+    changed = sorted(p for p, h in stored["outputs"].items() if _sha256(out_dir / p) != h)
+    return f"outputs changed: {', '.join(changed)}" if changed else None
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +325,6 @@ def _require_graphs_in(stage: str, cfg: PipelineConfig, split: str) -> None:
     index = root / diffusion.INDEX
     if index.exists() and split not in {p for p, _ in _read(stage, diffusion.graph_index, root)}:
         raise DataError(f"{stage}: split {split!r} is empty: {index} lists no graph in it")
-
-
-def _require_current_graphs(stage: str, cfg: PipelineConfig) -> None:
-    """A data error unless `perseus graphs` would skip now: its settings,
-    its inputs and the outputs its manifest records are unchanged. Called
-    after load_graphs, so a malformed table line is named by file and line."""
-    graphs = STAGES["graphs"]
-    key = _cache_key(cfg, _settings(cfg, {}, graphs.keys), _paths(cfg, {}, graphs.reads))
-    reason = _rerun_reason(cfg.out_dir / "manifests" / "graphs.json", cfg.out_dir, *key)
-    if reason is not None:
-        raise DataError(f"{stage}: {cfg.out_dir / 'graphs'} is not current ({reason}); run perseus graphs")
 
 
 def _read(stage: str, read: Callable, *args):
@@ -410,7 +401,6 @@ def _graphs(cfg: PipelineConfig) -> list[Path]:
 def _featurize(cfg: PipelineConfig) -> list[Path]:
     messages, event_sets = _read_event_sets(cfg, "featurize")
     graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
-    _require_current_graphs("featurize", cfg)
     prices = market.iter_price_dir(cfg.prices_dir) if cfg.prices_dir else ()
     outcomes, missing = _read("featurize", market.compute_outcomes, messages, prices, cfg.return_rule)
     labels = {}
@@ -461,25 +451,17 @@ def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData
     stored graphs, in graph id order."""
     standardizer = _read(stage, read_json, cfg.out_dir / STANDARDIZATION, Standardizer.from_json)
     graphs = _read(stage, diffusion.load_graphs, cfg.out_dir / "graphs")
-    _require_current_graphs(stage, cfg)
     matrices = _read(stage, read_features_csv, _features_path(cfg, split))
-    data = []
-    for mat in sorted(matrices, key=lambda m: m.graph_id):
-        graph = graphs.get(mat.graph_id)
-        if graph is None:
-            raise DataError(f"{stage}: no stored graph for feature matrix {mat.graph_id}")
-        if graph.nodes != mat.entity_ids:
-            raise DataError(f"{stage}: {mat.graph_id}: graph/feature node order mismatch")
-        data.append(
-            GraphData(
-                graph_id=mat.graph_id,
-                nodes=mat.entity_ids,
-                x=standardizer.transform(mat.x),
-                y=mat.y,
-                weighted=graph.weighted,
-            )
+    return [
+        GraphData(
+            graph_id=mat.graph_id,
+            nodes=mat.entity_ids,
+            x=standardizer.transform(mat.x),
+            y=mat.y,
+            weighted=graphs[mat.graph_id].weighted,
         )
-    return data
+        for mat in sorted(matrices, key=lambda m: m.graph_id)
+    ]
 
 
 def _train(cfg: PipelineConfig) -> list[Path]:
@@ -554,14 +536,6 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
     }
     history_path = cfg.out_dir / "history.csv"
     history = _read("evaluate", read_history_csv, history_path) if history_path.exists() else None
-    model_path = cfg.out_dir / "model.json"
-    if history is not None and model_path.exists():
-        epochs = _read("evaluate", load_params, model_path)[1].epochs
-        if len(history) != epochs:
-            raise DataError(
-                f"evaluate: {history_path}: {len(history)} epoch rows, but {model_path} "
-                f"was trained for {epochs} epochs"
-            )
     timing_path = cfg.out_dir / "inference_timing.json"
     samples = []
     if timing_path.exists():
@@ -695,12 +669,60 @@ def _settings(cfg: PipelineConfig, opts: dict, keys: Sequence[str]) -> dict:
     return {key: functools.reduce(operator.getitem, key.split("."), settings) for key in keys}
 
 
-def _run(name: str, cfg: PipelineConfig, **opts) -> None:
+def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path]) -> None:
+    """A data error unless each of `files` but the corpus, labels and price
+    files hashes to what a manifest records as written, and the stage that
+    wrote it, under the options its manifest stores, would not re-run for
+    its settings or inputs, whose files are checked the same way. Each
+    level's files, then their writers, go in sorted order; each manifest is
+    read, each file hashed and each writer checked at most once."""
+    manifest = functools.cache(lambda name: _manifest(cfg.out_dir / "manifests" / f"{name}.json"))
+    digest = functools.cache(_sha256)
+    checked: set[str] = set()
+    is_source = lambda p: p in (cfg.corpus, cfg.labels) or p.parent == cfg.prices_dir
+
+    def stale(writer: str, reason: str) -> DataError:
+        return DataError(f"{stage}: {writer} is not current ({reason}); run perseus {writer}")
+
+    def walk(paths: Sequence[Path]) -> None:
+        writers = []
+        # A missing file is left to run_stage.
+        for path in sorted(p for p in paths if p.exists() and not is_source(p)):
+            name = _name(cfg, path)
+            writer = next((w for w in STAGE_ORDER if name in (manifest(w) or {}).get("outputs", ())), None)
+            if writer is None:
+                raise DataError(f"{stage}: {path}: no manifest lists it; run the stage that writes it")
+            if digest(path) != manifest(writer)["outputs"][name]:
+                raise stale(writer, f"outputs changed: {name}")
+            writers.append(writer)
+        for writer in dict.fromkeys(writers):
+            if writer in checked:
+                continue
+            checked.add(writer)
+            stored, spec = manifest(writer), STAGES[writer]
+            opts = {d: stored["settings"].get(d, default) for d, (default, _) in spec.options.items()}
+            # Listing the graph files parses graphs/index.json.
+            reads = _read(stage, _paths, cfg, opts, spec.reads + spec.reads_if_present)
+            hashes = {_name(cfg, p): digest(p) for p in reads}
+            reason = _rerun_reason(stored, _settings(cfg, opts, spec.keys), hashes)
+            if reason is not None:
+                raise stale(writer, reason)
+            walk(reads)
+
+    walk(files)
+
+
+def _run(name: str, cfg: PipelineConfig, verified: bool = False, **opts) -> None:
+    """Run stage `name` through the cache, requiring what it reads to be
+    current unless `verified`: an earlier stage of the same command verified
+    (by skipping) or wrote every file this one reads."""
     stage = STAGES[name]
     opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
     # Listing the graph files parses graphs/index.json.
     reads, optional = (_read(name, _paths, cfg, opts, r) for r in (stage.reads, stage.reads_if_present))
     settings = _settings(cfg, opts, stage.keys)
+    if not verified:
+        _require_current(name, cfg, [*reads, *optional])
     if "split" in opts:
         _require_graphs_in(name, cfg, opts["split"])
     run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional)
@@ -867,10 +889,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OSError as exc:
                 raise DataError(f"synth: {exc}") from exc
             return EXIT_OK
-        for name in STAGE_ORDER if args.command == "all" else (args.command,):
+        for i, name in enumerate(STAGE_ORDER if args.command == "all" else (args.command,)):
             opts = {dest: getattr(args, dest) for dest in STAGES[name].options if dest in args}
             # Looked up at call time, so a wrapper set on cli.stage_<name> sees the call.
-            globals()[f"stage_{name}"](cfg, **opts)
+            # Each later stage of `all` reads only what an earlier one verified or wrote.
+            globals()[f"stage_{name}"](cfg, verified=i > 0, **opts)
             if name == "infer":
                 _print_detected(cfg)
     except DataError as exc:

@@ -8,6 +8,7 @@ budget of `epochs` epochs and ships the final epoch's parameters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -56,7 +57,7 @@ _RULES = {
     "graph_variant": (VARIANTS.__contains__, "unknown {!r}"),
     "hidden_channels": (lambda v: v >= 1, "must be positive"),
     "num_layers": (lambda v: v >= 1, "must be at least 1"),
-    "learning_rate": (lambda v: v > 0, "must be positive"),
+    "learning_rate": (lambda v: 0 < v < math.inf, "must be positive and finite"),
     "epochs": (lambda v: v >= 1, "must be positive"),
     "seed": (lambda v: v >= 0, "must be non-negative"),
     "threshold": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import warnings
 import weakref
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,10 +20,11 @@ import pytest
 from perseus import cli, ingest, market
 from perseus import synth as synth_mod
 from perseus.cli import STAGE_ORDER as STAGES, _evaluate, build_config, main
-from perseus.events import REASON_IDENTICAL_TEXT, BroadcastFlag
 from perseus.features import FEATURE_COLUMNS
-from perseus.jsonfile import write_jsonl
 from perseus.synth import SynthConfig, generate_corpus, generate_prices, write_labels, write_truth
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_gnn import MODEL_FILE_EDITS
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -275,30 +275,27 @@ GRAPH_FILES = [
     for table in ["nodes.tsv", "weighted.tsv"]
 ]
 PRICE_FILES = [f"data/prices/COIN0{i}USDT.csv" for i in range(6)]
-# Per stage of the default synth run: the hash of its settings and the files
-# in its cache key. The input hashes are left out, as history.csv and
-# inference_timing.json hold timings.
+# Per stage of the default synth run: the settings its manifest stores, as
+# plain JSON, and the files in its cache key. The input hashes are left out,
+# as history.csv and inference_timing.json hold timings.
+MODEL = {"architecture": "graphsage", "epochs": 100, "graph_variant": "weighted", "hidden_channels": 8,
+         "learning_rate": 0.0005, "num_layers": 2, "seed": 7, "threshold": 0.5}
 CACHE_KEYS = {
-    "parse": ("44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
-              ["data/corpus.jsonl"]),
-    "split": ("3fb7ff48bed2aafc187ce6b5257c10da89189c685809a0affe485d4a81631f3c",
-              ["messages.jsonl"]),
-    "events": ("91f9f54120b491eedbcf0654b05ebe4ef828dd014c2e7c252c103cf61eed8bc3",
-               ["messages.jsonl", "split_plan.json"]),
-    "flag": ("44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
-             ["events.jsonl", "messages.jsonl"]),
-    "graphs": ("db7863992057180bdfa32cf5099f1fb69a9ee03e1c303ee8b690f7c07f07168a",
-               ["events.jsonl", "messages.jsonl"]),
-    "featurize": ("88e48b460e31ed6b5f60a89b7ea9f714c10a8f5a294980b487399ecf65a59c1a",
+    "parse": ({}, ["data/corpus.jsonl"]),
+    "split": ({"split_fractions": [0.7, 0.15, 0.15]}, ["messages.jsonl"]),
+    "events": ({"event_cap_hours": 72.0, "single_period": False}, ["messages.jsonl", "split_plan.json"]),
+    "flag": ({}, ["events.jsonl", "messages.jsonl"]),
+    "graphs": ({"aggregation": "dani_product"}, ["events.jsonl", "messages.jsonl"]),
+    "featurize": ({"return_rule": "direction_aware"},
                   ["data/labels.json", *PRICE_FILES, "events.jsonl", "graphs/index.json",
                    *GRAPH_FILES, "messages.jsonl"]),
-    "train": ("6358d085d93f7721339dd527796d2cf804f43b39592a67c28179ab5d4c97aee8",
+    "train": ({"model": MODEL},
               ["features/standardization.json", "features/train.csv", "graphs/index.json",
                *GRAPH_FILES]),
-    "infer": ("0546ad4807dd30812b2b914c366d4a742513bceff7807756ebd3b9b1c99bae84",
+    "infer": ({"split": "test"},
               ["features/standardization.json", "features/test.csv", "graphs/index.json",
                *GRAPH_FILES, "model.json"]),
-    "evaluate": ("d1b446664d4095207ba1bd86a1806551f3670862d2b8c7146d8d9517790ed297",
+    "evaluate": ({"model.threshold": 0.5, "split": "test", "threshold_grid": [i / 20 for i in range(21)]},
                  ["features/test.csv", "flags.jsonl", "history.csv", "inference_timing.json",
                   "model.json", "predictions.jsonl"]),
 }
@@ -306,9 +303,9 @@ CACHE_KEYS = {
 
 def test_cache_keys_match_the_pinned_ones(pipeline):
     assert sorted(CACHE_KEYS) == sorted(STAGES)
-    for stage, (config_hash, inputs) in CACHE_KEYS.items():
+    for stage, (settings, inputs) in CACHE_KEYS.items():
         manifest = json.loads((pipeline / "manifests" / f"{stage}.json").read_text())
-        assert manifest["config_hash"] == config_hash, stage
+        assert manifest["settings"] == settings, stage
         assert sorted(manifest["inputs"]) == inputs, stage
 
 
@@ -431,16 +428,23 @@ def test_a_bad_price_file_of_a_coin_no_message_names_fails_with_exit_3(settled, 
     assert "data error: featurize:" in err and path.name in err
 
 
-def not_current(out, reason, stage="featurize"):
-    """What `stage` prints when `perseus graphs` would re-run on `out` for `reason`."""
-    return f"data error: {stage}: {out / 'graphs'} is not current ({reason}); run perseus graphs\n"
+def not_current(writer, reason, stage="featurize"):
+    """What `stage` prints when a file it reads needs `perseus <writer>` for `reason`."""
+    return f"data error: {stage}: {writer} is not current ({reason}); run perseus {writer}\n"
+
+
+def unlisted(path, stage):
+    """What `stage` prints when no manifest lists `path` as written."""
+    return f"data error: {stage}: {path}: no manifest lists it; run the stage that writes it\n"
 
 
 def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     """Every (period, coin) of events.jsonl is a graph of the index or is
     dropped there with its spreader count, which is below the minimum; the
     index drops nothing else and lists its graphs in graph id order. Any
-    edit to the index is one the graphs stage did not write."""
+    edit to the index is one the graphs stage did not write. A coin is
+    dropped here by adding one SUI message to the corpus and running events
+    with --single-period, as the split plan keeps no such token."""
     path = settled / "graphs" / "index.json"
     index = json.loads(path.read_text())
     left_out = [g for g in index["graphs"] if g != {"period": "test", "coin": "COIN01"}]
@@ -454,32 +458,29 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     ):
         path.write_text(json.dumps(edited))
         assert main(["featurize", "--out", str(settled)]) == 3
-        assert capsys.readouterr().err == not_current(settled, "outputs changed: graphs/index.json")
+        assert capsys.readouterr().err == not_current("graphs", "outputs changed: graphs/index.json")
 
-    events = settled / "events.jsonl"
-    rows = [json.loads(row) for row in events.read_text().splitlines()]
-    pair = lambda e: (e["period"], e["cryptocurrency"])
-    single = next(e for e in rows if pair(e) == ("test", "COIN01") and len(e["messages"]) == 1)
-    kept = [e for e in rows if pair(e) != ("test", "COIN01") or e is single]
-    events.write_text("".join(json.dumps(e) + "\n" for e in kept))
-    assert main(["graphs", "--out", str(settled)]) == 0
+    with open(settled / "data" / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write((FIXTURES / "sui_case.jsonl").read_text().splitlines(keepends=True)[0])
+    for args in (["parse"], ["events", "--single-period"], ["graphs"], ["featurize"]):
+        assert main([*args, "--out", str(settled)]) == 0, args
     index = json.loads(path.read_text())
-    assert index["dropped"] == [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 1}]
-    for table in ("nodes", "weighted"):
-        assert not (settled / "graphs" / "test" / f"COIN01.{table}.tsv").exists()
-    assert main(["featurize", "--out", str(settled)]) == 0
-    assert not (settled / "features" / "test.csv").exists()
+    assert index["dropped"] == [{"period": "all", "cryptocurrency": "SUI", "spreaders": 1}]
+    assert {g["period"] for g in index["graphs"]} == {"all"}
+    assert sorted(p.name for p in (settled / "graphs").iterdir()) == ["all", "index.json"]
+    assert sorted(p.name for p in (settled / "features").glob("*.csv")) == ["all.csv"]
     index["dropped"][0]["spreaders"] = 2
     path.write_text(json.dumps(index))
     assert main(["featurize", "--out", str(settled)]) == 3
-    assert capsys.readouterr().err == not_current(settled, "outputs changed: graphs/index.json")
+    assert capsys.readouterr().err == not_current("graphs", "outputs changed: graphs/index.json")
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
-    """A malformed graph table, and graph files that the graphs stage would
-    re-run for, stop featurize: graphs that events.jsonl no longer matches
-    (emptied, or one graph's events removed), an emptied table, a weight one
-    digit off, and graphs rebuilt under the other aggregation."""
+    """Featurize stops on a graph table or events.jsonl that its writer did
+    not write (a ghost edge, an emptied or one-digit-off table; an emptied
+    events.jsonl, or one without a graph's events), and on graphs that the
+    graphs stage would re-run for, as they were built under the other
+    aggregation. A malformed table line is named by load_graph's own test."""
     index = json.loads((settled / "graphs" / "index.json").read_text())["graphs"][0]
     graph_id = f"{index['period']}/{index['coin']}"
     events = [json.loads(row) for row in (settled / "events.jsonl").read_text().splitlines()]
@@ -491,19 +492,15 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
         out = tmp_path / case
         shutil.copytree(settled, out)
         path = out / "graphs" / index["period"] / f"{index['coin']}.weighted.tsv"
-        if case == "ghost_edge":
-            line = len(path.read_text().splitlines()) + 1
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("ghost\tnobody\t0.5\n")
-            want = f"data error: featurize: {path}:{line}: unknown entity 'ghost'\n"
-        elif case == "no_events":
-            (out / "events.jsonl").write_text("")
-            want = f"data error: featurize: {out / 'events.jsonl'}: no events\n"
-        elif case == "one_graph_without_events":
-            (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in others))
-            want = not_current(out, "inputs changed: events.jsonl")
+        if case in ("no_events", "one_graph_without_events"):
+            kept = [] if case == "no_events" else others
+            (out / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in kept))
+            want = not_current("events", "outputs changed: events.jsonl")
         else:
-            if case == "no_edges":
+            if case == "ghost_edge":
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("ghost\tnobody\t0.5\n")
+            elif case == "no_edges":
                 path.write_text("")
             elif case == "one_digit":
                 first, *rest = path.read_text().splitlines(keepends=True)
@@ -512,7 +509,7 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
             else:
                 assert main(["graphs", "--out", str(out), "--config", quotient]) == 0
             reason = "settings changed" if case == "quotient" else f"outputs changed: {path.relative_to(out)}"
-            want = not_current(out, reason)
+            want = not_current("graphs", reason)
         assert main(["featurize", "--out", str(out)]) == 3, case
         assert capsys.readouterr().err == want, case
     assert main(["featurize", "--out", str(out), "--config", quotient]) == 0
@@ -520,11 +517,13 @@ def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
 
 @pytest.mark.parametrize("stage", ["featurize", "train", "infer"])
 def test_a_stage_reads_graphs_only_while_the_graphs_stage_would_skip(settled, tmp_path, capsys, stage):
-    """Featurize, train and infer stop with the reason `perseus graphs`
-    would re-run: an emptied table, an index rewritten with the same
-    content, a changed events.jsonl, graphs rebuilt under the other
-    aggregation, and no graphs manifest. The stage's own manifest is
-    removed, so it runs rather than skips."""
+    """Featurize, train and infer stop on graph files the graphs stage did
+    not write (an emptied table, an index rewritten with the same content)
+    or that no manifest lists, and on what depends on a changed events.jsonl
+    or on graphs rebuilt under the other aggregation: featurize reads those
+    itself and names events or graphs; train and infer read the features
+    built from them and name featurize. The stage's own manifest is removed,
+    so it runs rather than skips."""
     table = Path("graphs/test/COIN01.weighted.tsv")
     quotient = write_config(tmp_path / "quotient.json", aggregation="paper_literal_quotient")
 
@@ -536,34 +535,56 @@ def test_a_stage_reads_graphs_only_while_the_graphs_stage_would_skip(settled, tm
         path = out / "events.jsonl"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
+    def rebuilt(out):
+        """The graph files whose bytes the quotient rebuild changed."""
+        files = sorted(str(p.relative_to(out)) for p in (out / "graphs").rglob("*") if p.is_file())
+        return ", ".join(f for f in files if (out / f).read_bytes() != (settled / f).read_bytes())
+
+    direct = stage == "featurize"
     cases = {
-        "emptied_table": (lambda out: (out / table).write_text(""), f"outputs changed: {table}"),
-        "edited_index": (edit_index, "outputs changed: graphs/index.json"),
-        "changed_events": (edit_events, "inputs changed: events.jsonl"),
-        "other_aggregation": (
-            lambda out: main(["graphs", "--out", str(out), "--config", quotient]), "settings changed"
+        "emptied_table": (
+            lambda out: (out / table).write_text(""),
+            lambda out: not_current("graphs", f"outputs changed: {table}", stage),
         ),
-        "no_manifest": (lambda out: (out / "manifests" / "graphs.json").unlink(), "no manifest"),
+        "edited_index": (
+            edit_index, lambda out: not_current("graphs", "outputs changed: graphs/index.json", stage)
+        ),
+        "changed_events": (
+            edit_events,
+            lambda out: not_current("events", "outputs changed: events.jsonl", stage)
+            if direct
+            else not_current("featurize", "inputs changed: events.jsonl", stage),
+        ),
+        "other_aggregation": (
+            lambda out: main(["graphs", "--out", str(out), "--config", quotient]),
+            lambda out: not_current("graphs", "settings changed", stage)
+            if direct
+            else not_current("featurize", f"inputs changed: {rebuilt(out)}", stage),
+        ),
+        "no_manifest": (
+            lambda out: (out / "manifests" / "graphs.json").unlink(),
+            lambda out: unlisted(out / "graphs" / "index.json", stage),
+        ),
     }
-    for case, (edit, reason) in cases.items():
+    for case, (edit, want) in cases.items():
         out = tmp_path / case
         shutil.copytree(settled, out)
         edit(out)
         (out / "manifests" / f"{stage}.json").unlink()
         capsys.readouterr()
         assert main([stage, "--out", str(out)]) == 3, case
-        assert capsys.readouterr().err == not_current(out, reason, stage), case
+        assert capsys.readouterr().err == want(out), case
 
 
 @pytest.mark.parametrize("stage", ["flag", "graphs"])
 def test_an_empty_event_file_fails_with_exit_3(settled, capsys, stage):
-    """The events stage never writes an empty events.jsonl, so an empty one
-    is a data error naming it, not an empty flags.jsonl or a complaint
-    about spreader counts (featurize's case is in the test above)."""
-    path = settled / "events.jsonl"
-    path.write_text("")
+    """The events stage never writes an empty events.jsonl, so an emptied one
+    is not current, not an empty flags.jsonl or a complaint about spreader
+    counts (featurize's case is in test_bad_graph_file_fails_with_exit_3;
+    read_events names an empty file in its own test)."""
+    (settled / "events.jsonl").write_text("")
     assert main([stage, "--out", str(settled)]) == 3
-    assert capsys.readouterr().err == f"data error: {stage}: {path}: no events\n"
+    assert capsys.readouterr().err == not_current("events", "outputs changed: events.jsonl", stage)
 
 
 def test_a_retune_draws_no_random_initialization(settled, tmp_path):
@@ -630,14 +651,15 @@ def test_featurize_leaves_numpy_ma_unimported(settled, tmp_path):
     ],
 )
 def test_bad_features_file_fails_with_exit_3(settled, capsys, stage, row):
+    """A row featurize did not write is not current; read_features_csv names
+    each of these rows by line in its own test."""
     split = "train" if stage == "train" else "val"
-    path = settled / "features" / f"{split}.csv"
-    line = len(path.read_text().splitlines()) + 1
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(settled / "features" / f"{split}.csv", "a", encoding="utf-8") as fh:
         fh.write(row + "\n")
     argv = [stage, "--out", str(settled)] + ([] if stage == "train" else ["--split", split])
     assert main(argv) == 3
-    assert f"data error: {stage}: {path}:{line}: " in capsys.readouterr().err
+    want = not_current("featurize", f"outputs changed: features/{split}.csv", stage)
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("label", [2, 0.9, "1", True], ids=["two", "fraction", "string", "true"])
@@ -918,6 +940,7 @@ def test_negative_seeds_are_config_errors(tmp_path, capsys, argv):
         pytest.param({"threshold_grid": [False, True]}, "threshold_grid", id="threshold_grid_bools"),
         pytest.param({"model": {"hidden_channels": 0}}, "model.hidden_channels", id="hidden_channels"),
         pytest.param({"model": {"learning_rate": 0.0}}, "model.learning_rate", id="learning_rate"),
+        pytest.param({"model": {"learning_rate": math.inf}}, "model.learning_rate", id="learning_rate_inf"),
         pytest.param({"model": {"epochs": 0}}, "model.epochs", id="epochs"),
         pytest.param({"model": {"threshold": 1.5}}, "model.threshold", id="threshold"),
         pytest.param({"model": {"seed": -1}}, "model.seed", id="seed"),
@@ -942,30 +965,14 @@ def test_seed_is_a_flag_of_train_and_all_only(capsys):
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err, command
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda obj: {**obj, "format_version": 2},
-        lambda obj: {**obj, "config": {**obj["config"], "architecture": "mlp"}},
-        lambda obj: [obj],
-        lambda obj: {**obj, "layers": obj["layers"][:1]},
-        lambda obj: {
-            **obj,
-            "layers": [{**obj["layers"][0], "weight": obj["layers"][0]["weight"][:-1]}]
-            + obj["layers"][1:],
-        },
-        lambda obj: {**obj, "config": {**obj["config"], "threshold": 1.5, "learning_rate": -1}},
-        lambda obj: {**obj, "config": {**obj["config"], "threshold": True}},
-    ],
-    ids=["format_version", "architecture", "not_an_object", "dropped_layer", "weight_shape",
-         "out_of_range", "bool_threshold"],
-)
+@pytest.mark.parametrize("edit", MODEL_FILE_EDITS.values(), ids=MODEL_FILE_EDITS)
 def test_bad_model_file_fails_infer_with_exit_3(settled, capsys, edit):
+    """Any model.json that train did not write is not current; load_params
+    rejects each of these edits in its own test."""
     path = settled / "model.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     assert main(["infer", "--out", str(settled)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: infer: {path}: ") and len(err.splitlines()) == 1, err
+    assert capsys.readouterr().err == not_current("train", "outputs changed: model.json", "infer")
 
 
 def test_a_history_that_lost_epochs_fails_evaluate_with_exit_3(settled, capsys):
@@ -973,10 +980,7 @@ def test_a_history_that_lost_epochs_fails_evaluate_with_exit_3(settled, capsys):
     header, *rows = path.read_text().splitlines(keepends=True)
     path.write_text("".join([header, *rows[: len(rows) // 2]]))
     assert main(["evaluate", "--out", str(settled)]) == 3
-    assert capsys.readouterr().err == (
-        f"data error: evaluate: {path}: 50 epoch rows, but {settled / 'model.json'} "
-        "was trained for 100 epochs\n"
-    )
+    assert capsys.readouterr().err == not_current("train", "outputs changed: history.csv", "evaluate")
 
 
 def test_short_standardization_fails_train_with_exit_3(settled, capsys):
@@ -984,8 +988,64 @@ def test_short_standardization_fails_train_with_exit_3(settled, capsys):
     obj = json.loads(path.read_text())
     path.write_text(json.dumps({key: values[:-1] for key, values in obj.items()}))
     assert main(["train", "--out", str(settled)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: train: {path}: ") and len(err.splitlines()) == 1, err
+    want = not_current("featurize", "outputs changed: features/standardization.json", "train")
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "{}", json.dumps({"config_hash": "0" * 64, "inputs": {}, "outputs": {}})],
+    ids=["list", "empty_object", "config_hash"],
+)
+def test_a_manifest_without_settings_counts_as_none(settled, capsys, text):
+    """A manifest that is not an object with `settings`, `inputs` and
+    `outputs` objects, as one written before settings were stored is not,
+    is no manifest: its stage re-runs, and no stage reads its outputs."""
+    manifest = settled / "manifests" / "graphs.json"
+    for stage, code in (("train", 3), ("graphs", 0)):
+        manifest.write_text(text)
+        assert main([stage, "--out", str(settled)]) == code, stage
+    assert capsys.readouterr().err == unlisted(settled / "graphs" / "index.json", "train")
+    assert json.loads(manifest.read_text())["reason"] == "no manifest"
+
+
+@pytest.mark.parametrize(
+    "fields, upstream, writer, reason",
+    [
+        ({"aggregation": "paper_literal_quotient"}, ["graphs"], "featurize", "inputs changed: graphs/"),
+        ({"split_fractions": [0.6, 0.2, 0.2]}, [], "split", "settings changed"),
+    ],
+    ids=["quotient_graphs", "split_fractions"],
+)
+def test_train_and_infer_name_the_stale_stage_upstream(
+    settled, tmp_path, capsys, fields, upstream, writer, reason
+):
+    """Under a config that changes an upstream stage, train and infer do not
+    read features built before it: the check walks back from what they read
+    to the first stage that would re-run. Graphs rebuilt under the quotient
+    aggregation leave the features of the old graphs; a split_fractions edit
+    leaves the split plan of the old fractions."""
+    config = write_config(tmp_path / "config.json", **fields)
+    for stage in upstream:
+        assert main([stage, "--out", str(settled), "--config", config]) == 0, stage
+    for stage in ("train", "infer"):
+        assert main([stage, "--out", str(settled), "--config", config]) == 3, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {stage}: {writer} is not current ({reason}"), err
+        assert err.endswith(f"); run perseus {writer}\n") and len(err.splitlines()) == 1, err
+
+
+def test_the_provenance_check_reads_each_manifest_and_file_once(settled, monkeypatch):
+    manifests, hashed = [], []
+    read, sha256 = cli._manifest, cli._sha256
+    monkeypatch.setattr(cli, "_manifest", lambda path: manifests.append(path) or read(path))
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    cfg = build_config(None, out_override=str(settled))
+    reads = cli._paths(cfg, {"split": "test"}, cli.STAGES["evaluate"].reads)
+    cli._require_current("evaluate", cfg, reads)
+    assert len(manifests) == len(set(manifests)) == len(STAGES) - 1
+    assert len(hashed) == len(set(hashed))
+    assert set(hashed) >= set(reads)
 
 
 def test_sui_fixture_recovers_its_masterminds(tmp_path):
@@ -1063,38 +1123,51 @@ def corruption_cases(out):
 
 # The cases the sweep lets pass, so that a data check which stops firing is
 # seen: a corpus line the parser skips (an appended `x`, a cut last line),
-# and a flags.jsonl that is valid when cut or emptied (the default run's is
-# already empty; the flagged copy's one row cannot be cut to a valid line).
+# and the default run's flags.jsonl, which is empty, so cutting or emptying
+# it leaves it as the flag stage wrote it.
 EXIT_0_CASES = [
     ("default", "parse", "data/corpus.jsonl", "append"),
     ("default", "parse", "data/corpus.jsonl", "truncate"),
     ("default", "evaluate", "flags.jsonl", "truncate"),
     ("default", "evaluate", "flags.jsonl", "empty"),
-    ("flagged", "evaluate", "flags.jsonl", "empty"),
 ]
+
+
+def writer_of(out, rel):
+    """The stage whose manifest on `out` lists `rel` as written."""
+    manifests = {s: json.loads((out / "manifests" / f"{s}.json").read_text()) for s in STAGES}
+    return next(s for s, m in manifests.items() if str(rel) in m["outputs"])
 
 
 def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
     """Every file a stage reads, appended to, cut in half or emptied, gives
     exit 3 with one `data error: <stage>:` line and no traceback, or exit 0
     in exactly EXIT_0_CASES.
-    A line that fails to parse, as the appended `x` does, is named by file,
-    and by line number in a line-oriented file (all but JSON documents and
-    price CSVs)."""
+    A corpus, price or label file that fails to parse, as the appended `x`
+    does, is named by file, and by line number in the corpus. Any other file
+    is named as not current by the line that names its writer, except
+    graphs/index.json: the stage parses it to list the graph files, so its
+    parse error names it first."""
     bad, passed = [], []
     cases = [(pipeline, *case) for case in corruption_cases(pipeline)]
     assert len(cases) == 96
     # The default run flags no broadcast; evaluate's flags.jsonl cases also
-    # run on a copy whose flags.jsonl holds one flag row.
+    # run on a copy whose corpus adds the STORJ fixture, where six channels
+    # post the same signal in the same second (its last line's), labelled 0.
     flagged = tmp_path / "flagged"
     shutil.copytree(pipeline, flagged)
-    event = json.loads((flagged / "events.jsonl").read_text().splitlines()[0])
-    channel = {pid: m["entity_id"] for pid, m in read_rows(flagged / "messages.jsonl", "PID").items()}
-    channels = tuple(sorted({channel[pid] for pid in event["messages"]}))
-    flag = BroadcastFlag(event["event_id"], channels, (REASON_IDENTICAL_TEXT,))
-    write_jsonl(flagged / "flags.jsonl", map(asdict, [flag]))
-    assert main(["evaluate", "--out", str(flagged)]) == 0
+    text = (FIXTURES / "storj_case.jsonl").read_text()
+    with open(flagged / "data" / "corpus.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(text)
+    storj = [json.loads(line) for line in text.splitlines()]
+    labels = json.loads((flagged / "data" / "labels.json").read_text())
+    same_second = [row["channel_id"] for row in storj if row["timestamp"] == storj[-1]["timestamp"]]
+    assert len(same_second) == 6
+    labels["labels"].update(dict.fromkeys(same_second, 0))
+    (flagged / "data" / "labels.json").write_text(json.dumps(labels))
+    assert main(["all", "--out", str(flagged)]) == 0
     assert json.loads((flagged / "report.json").read_text())["flags"] == {"events_flagged": 1}
+    capsys.readouterr()
     cases += [(flagged, "evaluate", Path("flags.jsonl"), how) for how in CORRUPTIONS]
     for n, (source, stage, rel, how) in enumerate(cases):
         out = tmp_path / str(n)
@@ -1106,16 +1179,18 @@ def test_a_corrupted_artifact_is_a_data_error(pipeline, tmp_path, capsys):
         except Exception as exc:  # what the console script shows as a traceback, exit 1
             code = f"{type(exc).__name__}: {exc}"
         err = capsys.readouterr().err
-        by_line = rel.suffix in (".jsonl", ".tsv") or (rel.suffix == ".csv" and rel.parts[0] != "data")
-        where = f"{path}:{len(data.splitlines()) + 1}: " if by_line else f"{path}: "
+        if rel.parts[0] == "data":
+            where = f"{path}:{len(data.splitlines()) + 1}: " if rel.suffix == ".jsonl" else f"{path}: "
+            ok = err.startswith(f"data error: {stage}: ") and len(err.splitlines()) == 1
+            ok = ok and (how != "append" or where in err)
+        elif rel == Path("graphs/index.json"):
+            ok = err.startswith(f"data error: {stage}: {path}: ") and len(err.splitlines()) == 1
+        else:
+            writer = writer_of(source, rel)
+            ok = err == not_current(writer, f"outputs changed: {rel}", stage)
         if code == 0:
             passed.append(("flagged" if source == flagged else "default", stage, str(rel), how))
-        elif not (
-            code == 3
-            and err.startswith(f"data error: {stage}: ")
-            and len(err.splitlines()) == 1
-            and (how != "append" or where in err)
-        ):
+        elif not (code == 3 and ok):
             bad.append((stage, str(rel), how, code, err))
         shutil.rmtree(out)
     assert bad == []

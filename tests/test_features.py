@@ -1,6 +1,7 @@
 """Spreader feature engineering: profile columns, centralities, ego
 measures, communities and standardization."""
 
+import re
 import sys
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -413,8 +414,9 @@ def test_standardizer_json_round_trip():
         lambda obj: {**obj, "mean": obj["mean"][:-1], "std": obj["std"][:-1]},
         lambda obj: {**obj, "std": obj["std"][:-1]},
         lambda obj: {**obj, "columns": obj["columns"][::-1]},
+        lambda obj: {key: values[:-1] for key, values in obj.items()},
     ],
-    ids=["22_entries", "short_std", "reordered_columns"],
+    ids=["22_entries", "short_std", "reordered_columns", "every_list_short"],
 )
 def test_standardizer_rejects_a_file_that_does_not_fit_the_columns(edit):
     std = Standardizer.fit([np.arange(2 * N_FEATURES, dtype=float).reshape(2, N_FEATURES)])
@@ -443,3 +445,25 @@ def test_features_csv_round_trip(tmp_path):
         assert a.entity_ids == b.entity_ids
         np.testing.assert_array_equal(np.asarray(a.y), np.asarray(b.y))
         np.testing.assert_allclose(b.x, a.x, atol=0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "x",
+        "a,one,train/SUI",
+        "a,0,train/SUI" + ",heavy" * N_FEATURES,
+        "a,2,train/SUI" + ",0.5" * N_FEATURES,
+    ],
+    ids=["short_row", "short_row_word_label", "bad_cell", "label_2"],
+)
+def test_read_features_csv_names_a_bad_row_by_line(tmp_path, row):
+    mat = FeatureMatrix(
+        graph_id="train/SUI", entity_ids=("a", "b"), x=np.zeros((2, N_FEATURES)), y=np.array([1, 0])
+    )
+    path = tmp_path / "train.csv"
+    write_features_csv(path, [mat])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "):
+        read_features_csv(path)

@@ -1,6 +1,8 @@
 """From-scratch GNN stack: layer math, autograd, training loop, persistence."""
 
+import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -340,6 +342,35 @@ def test_params_survive_a_save_and_load(tmp_path):
     np.testing.assert_array_equal(params_to_vector(loaded), params_to_vector(params))
 
 
+# Edits to a saved model.json that load_params must reject.
+MODEL_FILE_EDITS = {
+    "format_version": lambda obj: {**obj, "format_version": 2},
+    "architecture": lambda obj: {**obj, "config": {**obj["config"], "architecture": "mlp"}},
+    "not_an_object": lambda obj: [obj],
+    "dropped_layer": lambda obj: {**obj, "layers": obj["layers"][:1]},
+    "weight_shape": lambda obj: {
+        **obj,
+        "layers": [{**obj["layers"][0], "weight": obj["layers"][0]["weight"][:-1]}] + obj["layers"][1:],
+    },
+    "out_of_range": lambda obj: {**obj, "config": {**obj["config"], "threshold": 1.5, "learning_rate": -1}},
+    "bool_threshold": lambda obj: {**obj, "config": {**obj["config"], "threshold": True}},
+}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [*MODEL_FILE_EDITS.values(), lambda obj: {**obj, "config": {**obj["config"], "learning_rate": math.inf}}],
+    ids=[*MODEL_FILE_EDITS, "infinite_learning_rate"],
+)
+def test_load_params_rejects_a_bad_model_file(tmp_path, edit):
+    config = ModelConfig()
+    path = tmp_path / "model.json"
+    save_params(path, init_params(config, 23), config, in_dim=23)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_params(path)
+
+
 def test_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"format_version": 99}')
@@ -389,4 +420,6 @@ def test_config_rejects_bad_choices():
         ModelConfig(num_layers=0)
     with pytest.raises(ModelConfigError) as broken:
         ModelConfig(threshold=1.5, learning_rate=-1.0)
-    assert broken.value.problems == ["learning_rate: must be positive", "threshold: must be in [0, 1]"]
+    assert broken.value.problems == [
+        "learning_rate: must be positive and finite", "threshold: must be in [0, 1]"
+    ]
