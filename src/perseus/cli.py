@@ -216,6 +216,11 @@ def _name(cfg: PipelineConfig, path: Path) -> str:
     return str(path.relative_to(cfg.out_dir) if path.is_relative_to(cfg.out_dir) else path)
 
 
+def _input_hashes(cfg: PipelineConfig, paths: Sequence[Path], digest: Callable) -> dict[str, str]:
+    """{name: digest(path)} of `paths`: the input half of a cache key."""
+    return {_name(cfg, p): digest(p) for p in paths}
+
+
 def run_stage(
     name: str,
     cfg: PipelineConfig,
@@ -223,12 +228,14 @@ def run_stage(
     runner: Callable[[], Sequence[Path]],
     settings: dict,
     optional: Sequence[Path] = (),
+    digest: Callable[[Path], str] = _sha256,
 ) -> None:
     """Run `runner` unless its cache key and its outputs are unchanged.
 
     The key is `settings` (the config values the stage uses) plus the hash
     of every file in `inputs`, which must exist, and of every file in
-    `optional`, which enters as "absent" when missing. A run's manifest also
+    `optional`, which enters as "absent" when missing, by `digest`: `_run`
+    passes the cache its provenance check filled. A run's manifest also
     records the runner's wall `seconds`, the process's `peak_rss_kb` so far
     and the `reason` it ran.
     """
@@ -236,7 +243,7 @@ def run_stage(
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
-    input_hashes = {_name(cfg, p): _sha256(p) for p in [*inputs, *optional]}
+    input_hashes = _input_hashes(cfg, [*inputs, *optional], digest)
     reason = _rerun_reason(_manifest(manifest_path), settings, input_hashes, cfg.out_dir)
     if reason is None:
         logger.info("%s: inputs unchanged, skipping", name)
@@ -669,15 +676,16 @@ def _settings(cfg: PipelineConfig, opts: dict, keys: Sequence[str]) -> dict:
     return {key: functools.reduce(operator.getitem, key.split("."), settings) for key in keys}
 
 
-def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path]) -> None:
+def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path], digest: Callable) -> None:
     """A data error unless each of `files` but the corpus, labels and price
     files hashes to what a manifest records as written, and the stage that
-    wrote it, under the options its manifest stores, would not re-run for
-    its settings or inputs, whose files are checked the same way. Each
-    level's files, then their writers, go in sorted order; each manifest is
-    read, each file hashed and each writer checked at most once."""
+    wrote it would not re-run for its settings or inputs, whose files are
+    checked the same way. Settings that the reading command cannot give come
+    from the writer's manifest: its options and train's model config, which
+    model.json records for its readers. Each level's files, then their
+    writers, go in sorted order; each manifest is read, each file hashed
+    (by `digest`, a cache) and each writer checked at most once."""
     manifest = functools.cache(lambda name: _manifest(cfg.out_dir / "manifests" / f"{name}.json"))
-    digest = functools.cache(_sha256)
     checked: set[str] = set()
     is_source = lambda p: p in (cfg.corpus, cfg.labels) or p.parent == cfg.prices_dir
 
@@ -700,11 +708,10 @@ def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path]) -> 
                 continue
             checked.add(writer)
             stored, spec = manifest(writer), STAGES[writer]
-            opts = {d: stored["settings"].get(d, default) for d, (default, _) in spec.options.items()}
+            opts = {k: stored["settings"].get(k) for k in spec.keys if k in spec.options or k == "model"}
             # Listing the graph files parses graphs/index.json.
             reads = _read(stage, _paths, cfg, opts, spec.reads + spec.reads_if_present)
-            hashes = {_name(cfg, p): digest(p) for p in reads}
-            reason = _rerun_reason(stored, _settings(cfg, opts, spec.keys), hashes)
+            reason = _rerun_reason(stored, _settings(cfg, opts, spec.keys), _input_hashes(cfg, reads, digest))
             if reason is not None:
                 raise stale(writer, reason)
             walk(reads)
@@ -721,11 +728,13 @@ def _run(name: str, cfg: PipelineConfig, verified: bool = False, **opts) -> None
     # Listing the graph files parses graphs/index.json.
     reads, optional = (_read(name, _paths, cfg, opts, r) for r in (stage.reads, stage.reads_if_present))
     settings = _settings(cfg, opts, stage.keys)
+    # Each file is hashed once per command: run_stage reuses the check's hashes.
+    digest = functools.cache(_sha256)
     if not verified:
-        _require_current(name, cfg, [*reads, *optional])
+        _require_current(name, cfg, [*reads, *optional], digest)
     if "split" in opts:
         _require_graphs_in(name, cfg, opts["split"])
-    run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional)
+    run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional, digest=digest)
 
 
 stage_parse = functools.partial(_run, "parse")

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import functools
 import gc
 import json
 import math
@@ -468,11 +469,34 @@ def test_an_index_that_leaves_out_a_graph_fails_with_exit_3(settled, capsys):
     assert index["dropped"] == [{"period": "all", "cryptocurrency": "SUI", "spreaders": 1}]
     assert {g["period"] for g in index["graphs"]} == {"all"}
     assert sorted(p.name for p in (settled / "graphs").iterdir()) == ["all", "index.json"]
+    assert not list((settled / "graphs" / "all").glob("SUI.*"))
     assert sorted(p.name for p in (settled / "features").glob("*.csv")) == ["all.csv"]
     index["dropped"][0]["spreaders"] = 2
     path.write_text(json.dumps(index))
     assert main(["featurize", "--out", str(settled)]) == 3
     assert capsys.readouterr().err == not_current("graphs", "outputs changed: graphs/index.json")
+
+
+def test_featurize_writes_no_features_for_a_period_left_without_a_graph(settled):
+    """A (period, coin) cut to one spreader is dropped by graphs, which
+    writes none of its tables, and featurize then writes no CSV for its
+    period, which has no other graph. The stage functions are called
+    directly, as the provenance check stops a hand-cut events.jsonl."""
+    events = settled / "events.jsonl"
+    rows = [json.loads(row) for row in events.read_text().splitlines()]
+    pair = lambda e: (e["period"], e["cryptocurrency"])
+    single = next(e for e in rows if pair(e) == ("test", "COIN01") and len(e["messages"]) == 1)
+    kept = [e for e in rows if pair(e) != ("test", "COIN01") or e is single]
+    events.write_text("".join(json.dumps(e) + "\n" for e in kept))
+    cfg = build_config(None, out_override=str(settled))
+    cli._graphs(cfg)
+    index = json.loads((settled / "graphs" / "index.json").read_text())
+    assert index["dropped"] == [{"period": "test", "cryptocurrency": "COIN01", "spreaders": 1}]
+    assert "test" not in {g["period"] for g in index["graphs"]}
+    assert not (settled / "graphs" / "test").exists()
+    cli._featurize(cfg)
+    assert (settled / "features" / "train.csv").exists()
+    assert not (settled / "features" / "test.csv").exists()
 
 
 def test_bad_graph_file_fails_with_exit_3(settled, tmp_path, capsys):
@@ -1042,10 +1066,29 @@ def test_the_provenance_check_reads_each_manifest_and_file_once(settled, monkeyp
     monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
     cfg = build_config(None, out_override=str(settled))
     reads = cli._paths(cfg, {"split": "test"}, cli.STAGES["evaluate"].reads)
-    cli._require_current("evaluate", cfg, reads)
+    cli._require_current("evaluate", cfg, reads, functools.cache(cli._sha256))
     assert len(manifests) == len(set(manifests)) == len(STAGES) - 1
     assert len(hashed) == len(set(hashed))
     assert set(hashed) >= set(reads)
+    # A standalone stage's cache key reuses the check's hashes.
+    hashed.clear()
+    assert main(["infer", "--out", str(settled)]) == 0
+    assert len(hashed) == len(set(hashed))
+    assert set(hashed) >= set(cli._paths(cfg, {"split": "test"}, cli.STAGES["infer"].reads))
+
+
+def test_a_model_override_or_threshold_edit_keeps_the_model_current(settled, tmp_path):
+    """Readers of model.json take train's model config from its manifest,
+    which only train's flags and config set: after `train --arch gat --seed
+    3`, a standalone infer and evaluate run, and a config that changes only
+    the threshold re-runs evaluate alone."""
+    assert main(["train", "--out", str(settled), "--arch", "gat", "--seed", "3"]) == 0
+    assert json.loads((settled / "manifests" / "train.json").read_text())["settings"]["model"]["seed"] == 3
+    assert main(["infer", "--out", str(settled)]) == 0
+    assert main(["evaluate", "--out", str(settled)]) == 0
+    config = write_config(tmp_path / "threshold.json", model={"threshold": 0.25})
+    assert main(["evaluate", "--out", str(settled), "--config", config]) == 0
+    assert json.loads((settled / "report.json").read_text())["threshold_default"] == 0.25
 
 
 def test_sui_fixture_recovers_its_masterminds(tmp_path):
