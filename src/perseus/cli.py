@@ -32,7 +32,6 @@ from . import diffusion, evaluation, market
 from . import events as events_mod
 from . import ingest
 from . import synth as synth_mod
-from .evaluation import SplitInfeasible
 from .features import (
     FEATURE_COLUMNS,
     FeatureMatrix,
@@ -85,8 +84,8 @@ class NumericalError(Exception):
 class PipelineConfig:
     out_dir: Path
     corpus: Path
-    prices_dir: Optional[Path]
-    labels: Optional[Path]
+    prices_dir: Path
+    labels: Path
     split_fractions: tuple[float, float, float]
     event_cap_hours: float
     return_rule: str
@@ -239,7 +238,7 @@ def run_stage(
     records the runner's wall `seconds`, the process's `peak_rss_kb` so far
     and the `reason` it ran.
     """
-    missing = [str(p) for p in inputs if not p.exists()]
+    missing = [str(p) for p in inputs if not p.is_file()]
     if missing:
         raise DataError(f"{name}: missing required artifact(s): {', '.join(missing)}")
     manifest_path = cfg.out_dir / "manifests" / f"{name}.json"
@@ -325,31 +324,25 @@ def _paths(cfg: PipelineConfig, opts: dict, reads: Sequence) -> list[Path]:
     return paths
 
 
-def _require_graphs_in(stage: str, cfg: PipelineConfig, split: str) -> None:
-    """A data error naming `split` when the graph index lists no graph in
+def _require_graphs_in(cfg: PipelineConfig, split: str) -> None:
+    """A ValueError naming `split` when the graph index lists no graph in
     that period."""
     root = cfg.out_dir / "graphs"
     index = root / diffusion.INDEX
-    if index.exists() and split not in {p for p, _ in _read(stage, diffusion.graph_index, root)}:
-        raise DataError(f"{stage}: split {split!r} is empty: {index} lists no graph in it")
-
-
-def _read(stage: str, read: Callable, *args):
-    """read(*args), whose ValueError, naming the bad file, is a data error."""
-    try:
-        return read(*args)
-    except ValueError as exc:
-        raise DataError(f"{stage}: {exc}") from exc
+    if index.exists() and split not in {p for p, _ in diffusion.graph_index(root)}:
+        raise ValueError(f"split {split!r} is empty: {index} lists no graph in it")
 
 
 # ---------------------------------------------------------------------------
-# What the stages do: each returns the artifacts it wrote.
+# What the stages do: each returns the artifacts it wrote. A ValueError,
+# naming the bad file where there is one, is a data error of the stage and an
+# ArithmeticError a numerical failure: `_run` adds the stage's name.
 
 
 def _parse(cfg: PipelineConfig) -> list[Path]:
-    messages, report = _read("parse", ingest.read_corpus, cfg.corpus)
+    messages, report = ingest.read_corpus(cfg.corpus)
     if not messages:
-        raise DataError(f"parse: no crowd-pump messages found in {cfg.corpus}")
+        raise ValueError(f"no crowd-pump messages found in {cfg.corpus}")
     out = cfg.out_dir / "messages.jsonl"
     ingest.write_messages(out, messages)
     summary = dict(report.as_dict())
@@ -358,36 +351,33 @@ def _parse(cfg: PipelineConfig) -> list[Path]:
 
 
 def _split(cfg: PipelineConfig) -> list[Path]:
-    messages = _read("split", ingest.read_messages, cfg.out_dir / "messages.jsonl")
-    try:
-        plan = evaluation.chronological_split(messages, cfg.split_fractions)
-    except SplitInfeasible as exc:
-        raise DataError(f"split: {exc}")
+    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
+    plan = evaluation.chronological_split(messages, cfg.split_fractions)
     return [write_json(cfg.out_dir / "split_plan.json", plan.to_json())]
 
 
 def _events(cfg: PipelineConfig, single_period: bool) -> list[Path]:
-    messages = _read("events", ingest.read_messages, cfg.out_dir / "messages.jsonl")
+    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
     if single_period:
         period_of = lambda m: "all"
     else:
-        plan = _read("events", read_json, cfg.out_dir / "split_plan.json", evaluation.SplitPlan.from_json)
+        plan = read_json(cfg.out_dir / "split_plan.json", evaluation.SplitPlan.from_json)
         period_of = plan.split_of
     event_sets = events_mod.build_event_sets(messages, period_of, timedelta(hours=cfg.event_cap_hours))
     if not event_sets:
-        raise DataError("events: no events produced from the corpus")
+        raise ValueError("no events produced from the corpus")
     return [write_jsonl(cfg.out_dir / "events.jsonl", events_mod.event_rows(event_sets))]
 
 
-def _read_event_sets(cfg: PipelineConfig, stage: str):
-    messages = _read(stage, ingest.read_messages, cfg.out_dir / "messages.jsonl")
+def _read_event_sets(cfg: PipelineConfig):
+    messages = ingest.read_messages(cfg.out_dir / "messages.jsonl")
     by_pid = {m.pid: m for m in messages}
-    event_sets = _read(stage, events_mod.read_events, cfg.out_dir / "events.jsonl", by_pid)
+    event_sets = events_mod.read_events(cfg.out_dir / "events.jsonl", by_pid)
     return messages, event_sets
 
 
 def _flag(cfg: PipelineConfig) -> list[Path]:
-    _, event_sets = _read_event_sets(cfg, "flag")
+    _, event_sets = _read_event_sets(cfg)
     all_events = [e for events in event_sets.values() for e in events]
     all_events.sort(key=lambda e: e.event_id)
     flags = events_mod.flag_concurrent_broadcasts(all_events)
@@ -395,24 +385,21 @@ def _flag(cfg: PipelineConfig) -> list[Path]:
 
 
 def _graphs(cfg: PipelineConfig) -> list[Path]:
-    _, event_sets = _read_event_sets(cfg, "graphs")
+    _, event_sets = _read_event_sets(cfg)
     graphs, dropped = diffusion.build_graphs(event_sets, mode=cfg.aggregation)
     if not graphs:
-        raise DataError(
-            "graphs: every coin fell below the minimum spreader count "
-            f"({diffusion.MIN_SPREADERS})"
+        raise ValueError(
+            f"every coin fell below the minimum spreader count ({diffusion.MIN_SPREADERS})"
         )
     return diffusion.save_graphs(cfg.out_dir / "graphs", graphs, dropped)
 
 
 def _featurize(cfg: PipelineConfig) -> list[Path]:
-    messages, event_sets = _read_event_sets(cfg, "featurize")
-    graphs = _read("featurize", diffusion.load_graphs, cfg.out_dir / "graphs")
-    prices = market.iter_price_dir(cfg.prices_dir) if cfg.prices_dir else ()
-    outcomes, missing = _read("featurize", market.compute_outcomes, messages, prices, cfg.return_rule)
-    labels = {}
-    if cfg.labels is not None and cfg.labels.exists():
-        labels = _read("featurize", synth_mod.load_labels, cfg.labels)
+    messages, event_sets = _read_event_sets(cfg)
+    graphs = diffusion.load_graphs(cfg.out_dir / "graphs")
+    prices = market.iter_price_dir(cfg.prices_dir)
+    outcomes, missing = market.compute_outcomes(messages, prices, cfg.return_rule)
+    labels = synth_mod.load_labels(cfg.labels) if cfg.labels.is_file() else {}
 
     if missing:
         logger.warning("featurize: %d message(s) had no usable price data", len(missing))
@@ -453,12 +440,12 @@ def _featurize(cfg: PipelineConfig) -> list[Path]:
     return written
 
 
-def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData]:
+def _model_inputs(cfg: PipelineConfig, split: str) -> list[GraphData]:
     """The feature matrices of `split`, standardized and joined to their
     stored graphs, in graph id order."""
-    standardizer = _read(stage, read_json, cfg.out_dir / STANDARDIZATION, Standardizer.from_json)
-    graphs = _read(stage, diffusion.load_graphs, cfg.out_dir / "graphs")
-    matrices = _read(stage, read_features_csv, _features_path(cfg, split))
+    standardizer = read_json(cfg.out_dir / STANDARDIZATION, Standardizer.from_json)
+    graphs = diffusion.load_graphs(cfg.out_dir / "graphs")
+    matrices = read_features_csv(_features_path(cfg, split))
     return [
         GraphData(
             graph_id=mat.graph_id,
@@ -472,12 +459,12 @@ def _model_inputs(cfg: PipelineConfig, split: str, stage: str) -> list[GraphData
 
 
 def _train(cfg: PipelineConfig) -> list[Path]:
-    train_graphs = [g for g in _model_inputs(cfg, "train", "train") if np.all(g.y >= 0)]
+    train_graphs = [g for g in _model_inputs(cfg, "train") if np.all(g.y >= 0)]
     if not train_graphs:
-        raise DataError("train: no fully labeled training graphs")
+        raise ValueError("no fully labeled training graphs")
     params, history = train(cfg.model, train_graphs)
     if not all(np.isfinite(r.train_loss) for r in history):
-        raise NumericalError("train: loss diverged to a non-finite value")
+        raise FloatingPointError("loss diverged to a non-finite value")
     model_path = cfg.out_dir / "model.json"
     save_params(model_path, params, cfg.model, in_dim=train_graphs[0].x.shape[1])
     history_path = cfg.out_dir / "history.csv"
@@ -486,9 +473,9 @@ def _train(cfg: PipelineConfig) -> list[Path]:
 
 
 def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
-    params, model_cfg, _ = _read("infer", load_params, cfg.out_dir / "model.json")
+    params, model_cfg, _ = load_params(cfg.out_dir / "model.json")
     rows, timings = [], []
-    for g in _model_inputs(cfg, split, "infer"):
+    for g in _model_inputs(cfg, split):
         started = time.perf_counter()
         labels_pred, probs = predict(params, model_cfg, g)
         timings.append({"nodes": g.n_nodes, "seconds": time.perf_counter() - started})
@@ -504,7 +491,7 @@ def _infer(cfg: PipelineConfig, split: str) -> list[Path]:
 def _print_detected(cfg: PipelineConfig) -> None:
     detected = [
         {key: row[key] for key in ("graph_id", "entity_id", "probability")}
-        for row in _read("infer", list, read_jsonl(cfg.out_dir / "predictions.jsonl"))
+        for row in read_jsonl(cfg.out_dir / "predictions.jsonl")
         if row["predicted"] == 1
     ]
     detected.sort(key=lambda r: (r["graph_id"], -r["probability"], r["entity_id"]))
@@ -514,18 +501,18 @@ def _print_detected(cfg: PipelineConfig) -> None:
 def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
     by_node = {
         (mat.graph_id, node): (int(label), x)
-        for mat in _read("evaluate", read_features_csv, _features_path(cfg, split))
+        for mat in read_features_csv(_features_path(cfg, split))
         for node, label, x in zip(mat.entity_ids, mat.y, mat.x)
     }
     probs, labels, feature_rows = [], [], []
-    for row in _read("evaluate", list, read_jsonl(cfg.out_dir / "predictions.jsonl")):
+    for row in read_jsonl(cfg.out_dir / "predictions.jsonl"):
         label, x = by_node.get((row["graph_id"], row["entity_id"]), (-1, None))
         if label >= 0:
             probs.append(row["probability"])
             labels.append(label)
             feature_rows.append(x)
     if not probs:
-        raise DataError(f"evaluate: no labeled nodes in split {split!r}")
+        raise ValueError(f"no labeled nodes in split {split!r}")
     p = np.array(probs)
     y = np.array(labels)
     sweep = evaluation.threshold_sweep(p, y, cfg.threshold_grid)
@@ -542,16 +529,16 @@ def _evaluate(cfg: PipelineConfig, split: str) -> list[Path]:
         for name, r in tests.items()
     }
     history_path = cfg.out_dir / "history.csv"
-    history = _read("evaluate", read_history_csv, history_path) if history_path.exists() else None
+    history = read_history_csv(history_path) if history_path.exists() else None
     timing_path = cfg.out_dir / "inference_timing.json"
     samples = []
     if timing_path.exists():
-        samples = _read("evaluate", read_json, timing_path, lambda ts: [(t["nodes"], t["seconds"]) for t in ts])
+        samples = read_json(timing_path, lambda ts: [(t["nodes"], t["seconds"]) for t in ts])
     timing = evaluation.timing_report([r.seconds for r in history], samples) if history else {}
     flags_summary = {}
     flags_path = cfg.out_dir / "flags.jsonl"
     if flags_path.exists():
-        flags_summary = {"events_flagged": len(_read("evaluate", list, read_jsonl(flags_path)))}
+        flags_summary = {"events_flagged": len(list(read_jsonl(flags_path)))}
     report = {
         "split": split,
         "n_nodes": int(len(y)),
@@ -638,9 +625,9 @@ STAGES: dict[str, Stage] = {
             "messages.jsonl",
             "events.jsonl",
             _graph_files,
-            lambda cfg, o: [] if cfg.prices_dir is None else market.price_files(cfg.prices_dir),
+            lambda cfg, o: market.price_files(cfg.prices_dir),
         ),
-        reads_if_present=(lambda cfg, o: [cfg.labels] if cfg.labels else [],),
+        reads_if_present=(lambda cfg, o: [cfg.labels],),
         keys=("return_rule",),
     ),
     "train": Stage(
@@ -676,8 +663,8 @@ def _settings(cfg: PipelineConfig, opts: dict, keys: Sequence[str]) -> dict:
     return {key: functools.reduce(operator.getitem, key.split("."), settings) for key in keys}
 
 
-def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path], digest: Callable) -> None:
-    """A data error unless each of `files` but the corpus, labels and price
+def _require_current(cfg: PipelineConfig, files: Sequence[Path], digest: Callable) -> None:
+    """A ValueError unless each of `files` but the corpus, labels and price
     files hashes to what a manifest records as written, and the stage that
     wrote it would not re-run for its settings or inputs, whose files are
     checked the same way. Settings that the reading command cannot give come
@@ -689,17 +676,17 @@ def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path], dig
     checked: set[str] = set()
     is_source = lambda p: p in (cfg.corpus, cfg.labels) or p.parent == cfg.prices_dir
 
-    def stale(writer: str, reason: str) -> DataError:
-        return DataError(f"{stage}: {writer} is not current ({reason}); run perseus {writer}")
+    def stale(writer: str, reason: str) -> ValueError:
+        return ValueError(f"{writer} is not current ({reason}); run perseus {writer}")
 
     def walk(paths: Sequence[Path]) -> None:
         writers = []
         # A missing file is left to run_stage.
-        for path in sorted(p for p in paths if p.exists() and not is_source(p)):
+        for path in sorted(p for p in paths if p.is_file() and not is_source(p)):
             name = _name(cfg, path)
             writer = next((w for w in STAGE_ORDER if name in (manifest(w) or {}).get("outputs", ())), None)
             if writer is None:
-                raise DataError(f"{stage}: {path}: no manifest lists it; run the stage that writes it")
+                raise ValueError(f"{path}: no manifest lists it; run the stage that writes it")
             if digest(path) != manifest(writer)["outputs"][name]:
                 raise stale(writer, f"outputs changed: {name}")
             writers.append(writer)
@@ -710,7 +697,7 @@ def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path], dig
             stored, spec = manifest(writer), STAGES[writer]
             opts = {k: stored["settings"].get(k) for k in spec.keys if k in spec.options or k == "model"}
             # Listing the graph files parses graphs/index.json.
-            reads = _read(stage, _paths, cfg, opts, spec.reads + spec.reads_if_present)
+            reads = _paths(cfg, opts, spec.reads + spec.reads_if_present)
             reason = _rerun_reason(stored, _settings(cfg, opts, spec.keys), _input_hashes(cfg, reads, digest))
             if reason is not None:
                 raise stale(writer, reason)
@@ -722,19 +709,26 @@ def _require_current(stage: str, cfg: PipelineConfig, files: Sequence[Path], dig
 def _run(name: str, cfg: PipelineConfig, verified: bool = False, **opts) -> None:
     """Run stage `name` through the cache, requiring what it reads to be
     current unless `verified`: an earlier stage of the same command verified
-    (by skipping) or wrote every file this one reads."""
+    (by skipping) or wrote every file this one reads. A ValueError raised on
+    the way is a data error and an ArithmeticError a numerical failure, each
+    naming the stage."""
     stage = STAGES[name]
     opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
-    # Listing the graph files parses graphs/index.json.
-    reads, optional = (_read(name, _paths, cfg, opts, r) for r in (stage.reads, stage.reads_if_present))
     settings = _settings(cfg, opts, stage.keys)
     # Each file is hashed once per command: run_stage reuses the check's hashes.
     digest = functools.cache(_sha256)
-    if not verified:
-        _require_current(name, cfg, [*reads, *optional], digest)
-    if "split" in opts:
-        _require_graphs_in(name, cfg, opts["split"])
-    run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional, digest=digest)
+    try:
+        # Listing the graph files parses graphs/index.json.
+        reads, optional = (_paths(cfg, opts, r) for r in (stage.reads, stage.reads_if_present))
+        if not verified:
+            _require_current(cfg, [*reads, *optional], digest)
+        if "split" in opts:
+            _require_graphs_in(cfg, opts["split"])
+        run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional, digest=digest)
+    except ValueError as exc:
+        raise DataError(f"{name}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise NumericalError(f"{name}: {exc}") from exc
 
 
 stage_parse = functools.partial(_run, "parse")
@@ -773,31 +767,28 @@ def _write_prices(
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:
     corpus = synth_mod.generate_corpus(synth_config)
     ingest.write_raw_messages(cfg.corpus, corpus.raw_messages)
-    if cfg.prices_dir is not None:
-        prices_dir = Path(cfg.prices_dir)
-        prices_dir.mkdir(parents=True, exist_ok=True)
-        # Each pair's series has its own generator, so the coins can be dealt
-        # round-robin to one process per CPU; the files come out the same.
-        coins = sorted({m.cryptocurrency for m in corpus.messages})
-        n = min(len(coins), _cpus())
-        shares = [[m for m in corpus.messages if m.cryptocurrency in coins[i::n]] for i in range(n)]
-        write = functools.partial(_write_prices, synth_config=synth_config, prices_dir=prices_dir)
-        if n == 1:
-            write(shares[0])
-        else:
-            import multiprocessing
+    cfg.prices_dir.mkdir(parents=True, exist_ok=True)
+    # Each pair's series has its own generator, so the coins can be dealt
+    # round-robin to one process per CPU; the files come out the same.
+    coins = sorted({m.cryptocurrency for m in corpus.messages})
+    n = min(len(coins), _cpus())
+    shares = [[m for m in corpus.messages if m.cryptocurrency in coins[i::n]] for i in range(n)]
+    write = functools.partial(_write_prices, synth_config=synth_config, prices_dir=cfg.prices_dir)
+    if n == 1:
+        write(shares[0])
+    else:
+        import multiprocessing
 
-            # fork, not spawn: a spawned worker spends about 0.47 s importing
-            # numpy and perseus, the time it would save. The workers call no
-            # BLAS, so the idle BLAS threads a fork leaves behind do not matter.
-            # Leaving the block terminates and joins the workers, also on failure.
-            with multiprocessing.get_context("fork").Pool(n - 1) as pool:
-                rest = pool.map_async(write, shares[1:], chunksize=1)
-                write(shares[0])
-                rest.get()
-    if cfg.labels is not None:
-        synth_mod.write_labels(cfg.labels, corpus.truth.labels)
-        synth_mod.write_truth(cfg.labels.with_name("truth.json"), corpus.truth)
+        # fork, not spawn: a spawned worker spends about 0.47 s importing
+        # numpy and perseus, the time it would save. The workers call no
+        # BLAS, so the idle BLAS threads a fork leaves behind do not matter.
+        # Leaving the block terminates and joins the workers, also on failure.
+        with multiprocessing.get_context("fork").Pool(n - 1) as pool:
+            rest = pool.map_async(write, shares[1:], chunksize=1)
+            write(shares[0])
+            rest.get()
+    synth_mod.write_labels(cfg.labels, corpus.truth.labels)
+    synth_mod.write_truth(cfg.labels.with_name("truth.json"), corpus.truth)
     logger.info(
         "synth: %d raw messages, %d events, %d spreaders",
         len(corpus.raw_messages),

@@ -396,6 +396,10 @@ def write_raw_messages(path: Path | str, raws: Sequence[RawMessage]) -> None:
 def read_corpus(
     path: Path | str, rules: NerRules | None = None
 ) -> tuple[list[CrowdPumpMessage], SkipReport]:
-    """parse_corpus over a JSON-lines file."""
+    """parse_corpus over a JSON-lines file; text that is not UTF-8 is a
+    ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh, rules)
+        try:
+            return parse_corpus(fh, rules)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -122,9 +122,10 @@ def _read_columns(fh: TextIO) -> Optional[np.ndarray]:
 
 
 def price_files(directory: Path | str) -> list[Path]:
-    """The price CSVs of `directory`, in the order they are loaded."""
+    """The price CSVs of `directory` that are regular files, in the order
+    they are loaded."""
     directory = Path(directory)
-    return sorted(directory.glob("*.csv")) if directory.is_dir() else []
+    return sorted(p for p in directory.glob("*.csv") if p.is_file())
 
 
 def iter_price_dir(directory: Path | str) -> Iterator[PriceSeries]:
@@ -142,6 +143,8 @@ def load_price_dir(directory: Path | str) -> dict[str, PriceSeries]:
 
 def _load_price_file(path: Path) -> PriceSeries:
     try:
+        # The coin compute_outcomes will take from the name.
+        normalize_symbol(path.stem)
         return load_price_csv(path)
     except KeyError as exc:
         raise PriceFileError(f"{path}: no column {exc}") from exc

@@ -798,6 +798,53 @@ def test_missing_artifacts_fail_with_exit_3(tmp_path):
     assert "events.jsonl" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "stage, rel",
+    [("parse", "data/corpus.jsonl"), ("featurize", "data/labels.json"), ("featurize", "data/prices/DIRUSDT.csv")],
+    ids=["corpus", "labels", "price_file"],
+)
+def test_a_directory_where_an_input_file_belongs_counts_as_missing(settled, tmp_path, capsys, stage, rel):
+    """Parse requires the corpus, so it stops as it does without one;
+    featurize reads the labels and each price file only where present, so
+    it writes what it writes with the entry absent."""
+    absent = tmp_path / "absent"
+    shutil.copytree(settled, absent)
+    (absent / rel).unlink(missing_ok=True)
+    path = settled / rel
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    if stage == "parse":
+        assert main([stage, "--out", str(settled)]) == 3
+        assert capsys.readouterr().err == f"data error: parse: missing required artifact(s): {path}\n"
+        return
+    assert main([stage, "--out", str(absent)]) == main([stage, "--out", str(settled)]) == 0
+    for name in ("outcomes.jsonl", "features/train.csv", "features/test.csv"):
+        assert (settled / name).read_bytes() == (absent / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "stage, rel, data",
+    [("parse", "data/corpus.jsonl", b"\xff\n"), ("featurize", "data/prices/_.csv", None)],
+    ids=["corpus_not_utf8", "price_file_without_a_coin"],
+)
+def test_a_data_error_names_its_file(settled, capsys, stage, rel, data):
+    path = settled / rel
+    path.write_bytes(data or (settled / "data" / "prices" / "COIN00USDT.csv").read_bytes())
+    assert main([stage, "--out", str(settled)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {stage}: {path}: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_model_fails_train_with_exit_4(settled, tmp_path, capsys):
+    """A learning rate the config accepts can still overflow the weights;
+    train then stops on one line that names the stage."""
+    config = write_config(tmp_path / "lr.json", model={"learning_rate": 1e300})
+    assert main(["train", "--out", str(settled), "--config", config]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("numerical failure: train: NaN in layer"), err
+
+
 def test_an_empty_split_is_named(tmp_path):
     out = tmp_path / "thin"
     shape = ["--spreaders", "12", "--events", "150", "--coins", "4", "--forward-prob", "0.1"]
@@ -1066,7 +1113,7 @@ def test_the_provenance_check_reads_each_manifest_and_file_once(settled, monkeyp
     monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
     cfg = build_config(None, out_override=str(settled))
     reads = cli._paths(cfg, {"split": "test"}, cli.STAGES["evaluate"].reads)
-    cli._require_current("evaluate", cfg, reads, functools.cache(cli._sha256))
+    cli._require_current(cfg, reads, functools.cache(cli._sha256))
     assert len(manifests) == len(set(manifests)) == len(STAGES) - 1
     assert len(hashed) == len(set(hashed))
     assert set(hashed) >= set(reads)
