@@ -334,9 +334,9 @@ def _require_graphs_in(cfg: PipelineConfig, split: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# What the stages do: each returns the artifacts it wrote. A ValueError,
-# naming the bad file where there is one, is a data error of the stage and an
-# ArithmeticError a numerical failure: `_run` adds the stage's name.
+# What the stages do: each returns the artifacts it wrote. A ValueError
+# (naming the bad file where there is one) or OSError is a data error of the
+# stage and an ArithmeticError a numerical failure: `_run` adds its name.
 
 
 def _parse(cfg: PipelineConfig) -> list[Path]:
@@ -709,9 +709,9 @@ def _require_current(cfg: PipelineConfig, files: Sequence[Path], digest: Callabl
 def _run(name: str, cfg: PipelineConfig, verified: bool = False, **opts) -> None:
     """Run stage `name` through the cache, requiring what it reads to be
     current unless `verified`: an earlier stage of the same command verified
-    (by skipping) or wrote every file this one reads. A ValueError raised on
-    the way is a data error and an ArithmeticError a numerical failure, each
-    naming the stage."""
+    (by skipping) or wrote every file this one reads. A ValueError or OSError
+    raised on the way is a data error and an ArithmeticError a numerical
+    failure, each naming the stage."""
     stage = STAGES[name]
     opts = {dest: default for dest, (default, _) in stage.options.items()} | opts
     settings = _settings(cfg, opts, stage.keys)
@@ -725,7 +725,7 @@ def _run(name: str, cfg: PipelineConfig, verified: bool = False, **opts) -> None
         if "split" in opts:
             _require_graphs_in(cfg, opts["split"])
         run_stage(name, cfg, reads, lambda: stage.run(cfg, **opts), settings, optional, digest=digest)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise DataError(f"{name}: {exc}") from exc
     except ArithmeticError as exc:
         raise NumericalError(f"{name}: {exc}") from exc
@@ -760,8 +760,8 @@ def _write_prices(
 ) -> None:
     """Generate and write the price file of every pair that `messages` name."""
     # Module attributes looked up at call time, so a wrapper set on them sees the call.
-    for pair, series in synth_mod.generate_prices(messages, synth_config).items():
-        market.write_price_csv(prices_dir / f"{pair}.csv", series)
+    for pair, (series, volume) in synth_mod.generate_prices(messages, synth_config).items():
+        market.write_price_csv(prices_dir / f"{pair}.csv", series, volume)
 
 
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:

@@ -156,6 +156,7 @@ def init_params(config: ModelConfig, in_dim: int) -> list[dict[str, np.ndarray]]
     ]
 
 
+@np.errstate(all="ignore")  # the NaN check reports a divergence, not a numpy warning
 def forward(
     params: Sequence[dict[str, np.ndarray]],
     config: ModelConfig,
@@ -187,6 +188,7 @@ def forward(
     return probs
 
 
+@np.errstate(all="ignore")
 def loss_and_grads(
     params: Sequence[dict[str, np.ndarray]],
     config: ModelConfig,

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +27,8 @@ RETURN_RULES = (RETURN_DIRECTION_AWARE, RETURN_PAPER_LITERAL)
 
 PRICE_HEADER = "timestamp,price,volume"
 # numpy 1.23 replaced loadtxt's Python parser with a C one that converts each
-# field like float() or rejects it; the Python parser also read "0x.." as hex.
+# field like float() or rejects it and takes a quotechar; the Python parser
+# also read "0x.." as hex.
 _C_LOADTXT = np.lib.NumpyVersion(np.__version__) >= "1.23.0"
 
 
@@ -37,19 +38,17 @@ class PriceFileError(ValueError):
 
 @dataclass
 class PriceSeries:
-    """Strictly time-ordered (timestamp, price, volume) triples for one pair;
-    stamps are finite and prices finite and positive."""
+    """Strictly time-ordered (timestamp, price) pairs for one pair; stamps
+    are finite and prices finite and positive."""
 
     pair: str
     ts: np.ndarray      # POSIX seconds, float64
     price: np.ndarray
-    volume: np.ndarray
 
     def __post_init__(self) -> None:
         self.ts = np.asarray(self.ts, dtype=np.float64)
         self.price = np.asarray(self.price, dtype=np.float64)
-        self.volume = np.asarray(self.volume, dtype=np.float64)
-        if not (len(self.ts) == len(self.price) == len(self.volume)):
+        if len(self.ts) != len(self.price):
             raise ValueError(f"{self.pair}: column lengths differ")
         if len(self.ts) == 0:
             raise ValueError(f"{self.pair}: empty series")
@@ -79,23 +78,35 @@ def _posix(when: datetime) -> float:
 
 
 def load_price_csv(path: Path | str, pair: str | None = None) -> PriceSeries:
-    """Read a price CSV with columns `timestamp`, `price` and `volume` in any
-    order; timestamps are epoch milliseconds or ISO-8601.
+    """Read the `timestamp` and `price` columns of a price CSV, which its
+    header names in any order; other columns are ignored. Timestamps are
+    epoch milliseconds or ISO-8601.
 
-    A file whose header is exactly `timestamp,price,volume` is parsed by one
-    `np.loadtxt` call. Anything that parser rejects or cannot read as three
-    columns (ISO stamps, reordered columns, malformed rows) goes through the
-    `csv.DictReader` loop, which raises the same errors it always has.
+    Where the header starts `timestamp,price`, one `np.loadtxt` call parses
+    those two columns. Anything it rejects (ISO stamps, malformed rows) goes
+    through the `csv.DictReader` loop, which raises the errors it always has.
     """
     path = Path(path)
     pair = pair or path.stem
     with open(path, newline="", encoding="utf-8") as fh:
-        if _C_LOADTXT and fh.readline().rstrip("\r\n") == PRICE_HEADER:
-            columns = _read_columns(fh)
-            if columns is not None:
-                return PriceSeries(pair, columns[:, 0] / 1000.0, columns[:, 1], columns[:, 2])
+        header = fh.readline()
+        # Columns as csv.DictReader maps them: a repeated name takes its last
+        # column, and a quote could carry the header past this line.
+        column = {name: i for i, name in enumerate(header.rstrip("\r\n").split(","))}
+        if _C_LOADTXT and '"' not in header and (column.get("timestamp"), column.get("price")) == (0, 1):
+            with warnings.catch_warnings():
+                # A header-only file: the csv loop reports it as an empty series.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                # comments=None: the default "#" would accept rows float() rejects;
+                # quotechar: as in the csv loop, a quoted field may span lines.
+                try:
+                    a = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, usecols=(0, 1), quotechar='"')
+                except ValueError:
+                    a = np.empty((0, 2))  # the csv loop raises the error
+            if len(a):
+                return PriceSeries(pair, a[:, 0] / 1000.0, a[:, 1])
         fh.seek(0)
-        ts, price, volume = [], [], []
+        ts, price = [], []
         for row in csv.DictReader(fh):
             stamp = row["timestamp"].strip()
             try:
@@ -103,22 +114,7 @@ def load_price_csv(path: Path | str, pair: str | None = None) -> PriceSeries:
             except ValueError:
                 ts.append(_posix(parse_timestamp(stamp)))
             price.append(float(row["price"]))
-            volume.append(float(row["volume"]))
-    return PriceSeries(pair, np.array(ts), np.array(price), np.array(volume))
-
-
-def _read_columns(fh: TextIO) -> Optional[np.ndarray]:
-    """The rest of `fh` as an (n, 3) float array with n >= 1, or None when
-    numpy cannot parse it as that."""
-    with warnings.catch_warnings():
-        # A header-only file: the csv loop reports it as an empty series.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            # comments=None: the default "#" would accept rows float() rejects.
-            a = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64, comments=None)
-        except ValueError:
-            return None
-    return a if a.shape[1] == 3 and len(a) else None
+    return PriceSeries(pair, np.array(ts), np.array(price))
 
 
 def price_files(directory: Path | str) -> list[Path]:
@@ -155,11 +151,11 @@ def _load_price_file(path: Path) -> PriceSeries:
         raise PriceFileError(f"{path}: {exc}") from exc
 
 
-def write_price_csv(path: Path | str, series: PriceSeries) -> None:
-    """Write `series` with the exact `timestamp,price,volume` header, epoch
-    milliseconds and `\\r\\n` line ends, as `csv.writer` would."""
+def write_price_csv(path: Path | str, series: PriceSeries, volume: np.ndarray) -> None:
+    """Write `series` and its `volume` under the exact `timestamp,price,volume`
+    header, in epoch milliseconds with `\\r\\n` line ends, as `csv.writer` would."""
     ms = np.rint(series.ts * 1000).astype(np.int64).tolist()
-    rows = zip(ms, series.price.tolist(), series.volume.tolist())
+    rows = zip(ms, series.price.tolist(), np.asarray(volume, dtype=np.float64).tolist(), strict=True)
     lines = [PRICE_HEADER, *(f"{m},{p!r},{v!r}" for m, p, v in rows)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

@@ -327,7 +327,7 @@ def _cluster_messages(
 
 def generate_prices(
     messages: Sequence[CrowdPumpMessage], config: SynthConfig
-) -> dict[str, PriceSeries]:
+) -> dict[str, tuple[PriceSeries, np.ndarray]]:
     """Per-pair bar series whose ramps achieve each event's planned hit count.
 
     The bar at each event's first announcement is pinned to the posted entry
@@ -338,11 +338,12 @@ def generate_prices(
 
     The per-bar draws are part of the corpus contract: a walk or idle bar
     draws one standard normal, then every bar draws one uniform for its
-    volume, all from one generator per pair. Reordering or vectorizing the
-    draws, or taking exp/log from numpy rather than `math`, changes every corpus.
+    volume (no stage reads it: it is returned beside each series for the
+    written file), all from one generator per pair. Reordering or vectorizing
+    the draws, or taking exp/log from numpy rather than `math`, changes every corpus.
     """
     clusters = _cluster_messages(messages)
-    series: dict[str, PriceSeries] = {}
+    series: dict[str, tuple[PriceSeries, np.ndarray]] = {}
     bar = config.bar_minutes * 60
     drift, vol = config.price_drift, config.price_volatility
     jitter = 0.25 * vol
@@ -406,7 +407,7 @@ def generate_prices(
             prices.append(level)
             # Generator.uniform(-1, 1) computes -1 + 2·u from the same draw.
             volumes.append(BASE_VOLUME * (1.0 + 0.1 * (-1.0 + 2.0 * uniform())) * factor)
-        series[pair] = PriceSeries(pair, np.array(ts), np.array(prices), np.array(volumes))
+        series[pair] = PriceSeries(pair, np.array(ts), np.array(prices)), np.array(volumes)
     return series
 
 

@@ -557,7 +557,7 @@ def reference_chronological_split(messages, targets=(0.70, 0.15, 0.15)):
 def reference_load_price_csv(path, pair=None):
     """The row loop: `csv.DictReader` and `float()` per field."""
     path = Path(path)
-    ts, price, volume = [], [], []
+    ts, price = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             stamp = row["timestamp"].strip()
@@ -566,16 +566,15 @@ def reference_load_price_csv(path, pair=None):
             except ValueError:
                 ts.append(_posix(parse_timestamp(stamp)))
             price.append(float(row["price"]))
-            volume.append(float(row["volume"]))
-    return PriceSeries(pair or path.stem, np.array(ts), np.array(price), np.array(volume))
+    return PriceSeries(pair or path.stem, np.array(ts), np.array(price))
 
 
-def reference_write_price_csv(path, series):
+def reference_write_price_csv(path, series, volume):
     """The row loop: one `csv.writer.writerow` per point."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "price", "volume"])
-        for t, p, v in zip(series.ts, series.price, series.volume):
+        for t, p, v in zip(series.ts, series.price, volume):
             writer.writerow([int(round(t * 1000)), repr(float(p)), repr(float(v))])
 
 
@@ -662,7 +661,7 @@ def reference_generate_prices(messages, config):
     """The bar loop over numpy scalars and `datetime` plans, with
     `rng.uniform(-1.0, 1.0)` for the volume jitter."""
     clusters = synth._cluster_messages(messages)
-    series: dict[str, PriceSeries] = {}
+    series: dict[str, tuple[PriceSeries, np.ndarray]] = {}
     bar = config.bar_minutes * 60
     for coin, events in clusters.items():
         pair = f"{coin}USDT"
@@ -737,7 +736,7 @@ def reference_generate_prices(messages, config):
             prices[i] = level
             base = synth.BASE_VOLUME * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
             volumes[i] = base * (synth.RAMP_VOLUME_FACTOR if ramp else 1.0)
-        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices, volume=volumes)
+        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices), volumes
     return series
 
 

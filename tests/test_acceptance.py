@@ -113,7 +113,7 @@ def pipeline_matrices(seed):
     event_sets = build_event_sets(corpus.messages, lambda m: "all")
     graphs, _ = build_graphs(event_sets)
     prices = generate_prices(corpus.messages, cfg)
-    outcomes, _ = compute_outcomes(corpus.messages, prices.values())
+    outcomes, _ = compute_outcomes(corpus.messages, [series for series, _ in prices.values()])
     out = []
     for gid in sorted(graphs):
         g = graphs[gid]

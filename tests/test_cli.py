@@ -355,7 +355,7 @@ def test_price_edit_reruns_featurize_onwards(settled):
 @pytest.mark.parametrize(
     "rows",
     [
-        ["2000,1.5,3", "3000,1.6"],
+        ["2000,1.5,3", "3000"],
         ["3000,1.5,3", "2000,1.6,4"],
         ["2000,nan,3", "3000,1.6,4"],
         ["2000,1.5,3", "inf,1.6,4"],
@@ -368,6 +368,18 @@ def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     assert main(["all", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert "data error: featurize:" in err and path.name in err
+
+
+def test_price_files_without_volume_give_the_same_features(settled):
+    """Featurize reads only the timestamp and price of a price file."""
+    outputs = [settled / "outcomes.jsonl", *sorted((settled / "features").glob("*.csv"))]
+    before = [p.read_bytes() for p in outputs]
+    for path in (settled / "data" / "prices").glob("*.csv"):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "timestamp,price,volume"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    assert main(["featurize", "--out", str(settled)]) == 0
+    assert [p.read_bytes() for p in outputs] == before
 
 
 def read_rows(path, key):
@@ -415,7 +427,7 @@ def test_the_last_price_file_of_a_coin_decides_its_outcomes(settled, capsys):
         scale = 2.0 if coin[pid] == "COIN00" else 1.0
         assert row["announcement_price"] == scale * before[pid]["announcement_price"], pid
 
-    busd.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000,1.6"]) + "\n")
+    busd.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000"]) + "\n")
     assert main(["featurize", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert "data error: featurize:" in err and busd.name in err
@@ -423,7 +435,7 @@ def test_the_last_price_file_of_a_coin_decides_its_outcomes(settled, capsys):
 
 def test_a_bad_price_file_of_a_coin_no_message_names_fails_with_exit_3(settled, capsys):
     path = settled / "data" / "prices" / "NOBODYUSDT.csv"
-    path.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000,1.6"]) + "\n")
+    path.write_text("\n".join(["timestamp,price,volume", "2000,1.5,3", "3000"]) + "\n")
     assert main(["featurize", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
     assert "data error: featurize:" in err and path.name in err
@@ -835,14 +847,30 @@ def test_a_data_error_names_its_file(settled, capsys, stage, rel, data):
     assert err.startswith(f"data error: {stage}: {path}: ") and len(err.splitlines()) == 1, err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_diverging_model_fails_train_with_exit_4(settled, tmp_path, capsys):
+def test_a_diverging_model_fails_train_with_exit_4(settled, tmp_path):
     """A learning rate the config accepts can still overflow the weights;
-    train then stops on one line that names the stage."""
+    train then stops on one line that names the stage, with no numpy
+    warning before it."""
     config = write_config(tmp_path / "lr.json", model={"learning_rate": 1e300})
-    assert main(["train", "--out", str(settled), "--config", config]) == 4
+    done = run_cli("train", "--out", str(settled), "--config", config)
+    assert done.returncode == 4
+    want = r"numerical failure: train: NaN in layer \d+ output on graph \w+/\w+\n"
+    assert re.fullmatch(want, done.stderr), done.stderr
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling_link"])
+def test_a_manifest_path_that_is_no_file_is_a_data_error(settled, capsys, kind):
+    """A directory at the manifest fails its read; a link into a missing
+    directory reads as no manifest and fails its write."""
+    path = settled / "manifests" / "graphs.json"
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to(settled / "missing" / "graphs.json")
+    assert main(["graphs", "--out", str(settled)]) == 3
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("numerical failure: train: NaN in layer"), err
+    assert err.startswith("data error: graphs: ") and str(path) in err and len(err.splitlines()) == 1, err
 
 
 def test_an_empty_split_is_named(tmp_path):
@@ -926,8 +954,8 @@ def small_synth_files(tmp_path_factory):
     ingest.write_raw_messages(out / "corpus.jsonl", corpus.raw_messages)
     write_labels(out / "labels.json", corpus.truth.labels)
     write_truth(out / "truth.json", corpus.truth)
-    for pair, series in generate_prices(corpus.messages, SMALL_SYNTH).items():
-        market.write_price_csv(out / f"{pair}.csv", series)
+    for pair, (series, volume) in generate_prices(corpus.messages, SMALL_SYNTH).items():
+        market.write_price_csv(out / f"{pair}.csv", series, volume)
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 

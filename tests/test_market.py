@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from perseus import market
 from perseus.ingest import CrowdPumpMessage, TradeDirection, parse_corpus
 from perseus.jsonfile import read_jsonl, write_jsonl
 from perseus.market import (
@@ -32,11 +33,10 @@ T0 = datetime(2024, 3, 1, 10, 0, 0, tzinfo=timezone.utc)
 
 
 def series(points, pair="SUIUSDT"):
-    """Build a PriceSeries from (minute offset, price[, volume]) tuples."""
-    ts = np.array([(T0 + timedelta(minutes=m)).timestamp() for m, *_ in points])
-    price = np.array([p[1] for p in points], dtype=float)
-    volume = np.array([p[2] if len(p) > 2 else 0.0 for p in points], dtype=float)
-    return PriceSeries(pair=pair, ts=ts, price=price, volume=volume)
+    """Build a PriceSeries from (minute offset, price) tuples."""
+    ts = np.array([(T0 + timedelta(minutes=m)).timestamp() for m, _ in points])
+    price = np.array([p for _, p in points], dtype=float)
+    return PriceSeries(pair=pair, ts=ts, price=price)
 
 
 def signal(direction=TradeDirection.LONG, targets=("1.1",), coin="SUI", minute=0, pid=1):
@@ -93,7 +93,7 @@ def test_series_validation():
 )
 def test_series_rejects_non_finite_stamps_and_prices(ts, price, reason):
     with pytest.raises(ValueError, match=f"{reason} must be finite"):
-        PriceSeries("XUSDT", ts, price, np.zeros(len(ts)))
+        PriceSeries("XUSDT", ts, price)
 
 
 def test_price_at_last_point_at_or_before():
@@ -148,7 +148,7 @@ def test_direction_symmetry_on_inverted_series_at_tick_scale():
     # order; at a 1e-5 move the second-order gap is ~1e-10
     move = 1e-5
     s = series([(0, 1.0), (60, 1.0 + move)])
-    inverted = PriceSeries(pair=s.pair, ts=s.ts.copy(), price=1.0 / s.price, volume=s.volume.copy())
+    inverted = PriceSeries(pair=s.pair, ts=s.ts.copy(), price=1.0 / s.price)
     long_leg = outcome(s, signal()).max_return
     short_leg = outcome(inverted, signal(direction=TradeDirection.SHORT)).max_return
     assert long_leg == pytest.approx(move, rel=1e-6)
@@ -236,9 +236,9 @@ def random_case(rng):
         price = rng.choice([0.5, 1.0, 1.5, 2.0], size=n) + rng.integers(0, 3, size=n) * 0.25
         draws = rng.random()
         if c == 0 or draws > 0.2:
-            all_series.append(PriceSeries(f"{coin}USDT", ts, price, np.zeros(n)))
+            all_series.append(PriceSeries(f"{coin}USDT", ts, price))
         if draws > 0.85:
-            all_series.append(PriceSeries(f"{coin}BUSD", ts[::2], price[::2] * 2, np.zeros(len(ts[::2]))))
+            all_series.append(PriceSeries(f"{coin}BUSD", ts[::2], price[::2] * 2))
         for _ in range(int(rng.integers(1, 12))):
             k = int(rng.integers(n))
             if rng.random() < 0.7:
@@ -285,14 +285,14 @@ def test_outcome_file_round_trip(tmp_path):
 
 
 def test_price_csv_round_trip(tmp_path):
-    s = series([(0, 100.0, 5.0), (1, 101.5, 0.0)])
+    s = series([(0, 100.0), (1, 101.5)])
     path = tmp_path / "SUIUSDT.csv"
-    write_price_csv(path, s)
+    write_price_csv(path, s, np.array([5.0, 0.0]))
     again = load_price_csv(path)
     assert again.pair == "SUIUSDT"
     np.testing.assert_array_equal(again.ts, s.ts)
     np.testing.assert_array_equal(again.price, s.price)
-    np.testing.assert_array_equal(again.volume, s.volume)
+    assert path.read_text().splitlines()[1:] == ["1709287200000,100.0,5.0", "1709287260000,101.5,0.0"]
 
 
 def test_price_csv_accepts_iso_timestamps(tmp_path):
@@ -317,7 +317,7 @@ PRICE_FILES = {
     "blank_line": HEADER + "2000,1.5,3\r\n\r\n3000,1.6,4\r\n",
     "padded": HEADER + " 2000 , 1.5 ,3\r\n3000,  1.6, 4 \r\n",
     "extra_column": HEADER + "2000,1.5,3,9\r\n3000,1.6,4,9\r\n",
-    "short_row": HEADER + "2000,1.5,3\r\n3000,1.6\r\n",
+    "short_row": HEADER + "2000,1.5,3\r\n3000\r\n",
     "short_rows": HEADER + "2000,1.5\r\n3000,1.6\r\n",
     "trailing_comment": HEADER + "2000,1.5,3 # c\r\n",
     "hash_line": HEADER + "#x\r\n2000,1.5,3\r\n",
@@ -330,6 +330,13 @@ PRICE_FILES = {
     "zero_price": HEADER + "2000,0,3\r\n",
     "text": HEADER + "2000,abc,3\r\n",
     "no_volume": "timestamp,price\r\n2000,1.5\r\n",
+    "two_columns": "timestamp,price\r\n1709287200000,1.5\r\n1709287260000,1.625\r\n",
+    "no_price": "timestamp,volume\r\n2000,3\r\n",
+    "price_first": "price,timestamp\r\n1.5,2000\r\n",
+    "repeated_price": "timestamp,price,price\r\n2000,1.5,2.5\r\n",
+    "quoted_price": HEADER + '2000,"1.5",3\r\n',
+    "quoted_line_break": HEADER + '2000,1.5,"x\r\n3000,1.6,y"\r\n4000,1.7,4\r\n',
+    "quoted_header": 'timestamp,price,"x\r\n2000,1.5,y"\r\n3000,1.6\r\n',
     "nan_price": HEADER + "2000,nan,3\r\n3000,1.6,4\r\n",
     "inf_price": HEADER + "2000,1.5,3\r\n3000,inf,4\r\n",
     "nan_stamp": HEADER + "2000,1.5,3\r\nnan,1.6,4\r\n",
@@ -353,8 +360,19 @@ def test_price_loader_matches_the_row_loop(tmp_path, name):
         assert type(got) is type(want), f"{got!r} != {want!r}"
     else:
         assert got.pair == want.pair
-        for column in ("ts", "price", "volume"):
+        for column in ("ts", "price"):
             assert np.array_equal(getattr(got, column), getattr(want, column)), column
+
+
+@pytest.mark.skipif(not market._C_LOADTXT, reason="numpy < 1.23 reads every file row by row")
+@pytest.mark.parametrize("name", ["epoch_ms", "two_columns", "extra_column", "short_rows"])
+def test_a_file_led_by_timestamp_price_is_read_without_the_row_loop(tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(PRICE_FILES[name].encode())
+    want = oracles.reference_load_price_csv(path)
+    monkeypatch.setattr(market.csv, "DictReader", None)
+    got = load_price_csv(path)
+    assert np.array_equal(got.ts, want.ts) and np.array_equal(got.price, want.price)
 
 
 def test_header_only_price_file_is_an_empty_series_without_a_warning(tmp_path):
@@ -370,13 +388,13 @@ def test_price_writer_matches_the_row_loop_and_round_trips(tmp_path):
     config = SynthConfig(n_spreaders=8, n_masterminds=2, n_events=6, n_coins=2, seed=4)
     prices = generate_prices(generate_corpus(config).messages, config)
     assert prices
-    for pair, s in prices.items():
+    for pair, (s, volume) in prices.items():
         path, ref = tmp_path / f"{pair}.csv", tmp_path / f"{pair}.ref"
-        write_price_csv(path, s)
-        oracles.reference_write_price_csv(ref, s)
+        write_price_csv(path, s, volume)
+        oracles.reference_write_price_csv(ref, s, volume)
         assert path.read_bytes() == ref.read_bytes()
         again = load_price_csv(path)
-        for column in ("ts", "price", "volume"):
+        for column in ("ts", "price"):
             assert np.array_equal(getattr(again, column), getattr(s, column)), column
 
 
@@ -384,9 +402,9 @@ def test_price_writer_rounds_like_the_row_loop(tmp_path):
     """Sub-millisecond stamps round half to even, as round() does."""
     ms = 1709287200000 + np.array([0.5, 1.5, 2.5, 3.4, 3.6])
     price = np.array([0.1 + 0.2, 1e-7, 1e22, 3.0, 123.456])
-    s = PriceSeries("HALFUSDT", ms / 1000, price, np.arange(5.0))
-    write_price_csv(tmp_path / "new.csv", s)
-    oracles.reference_write_price_csv(tmp_path / "ref.csv", s)
+    s = PriceSeries("HALFUSDT", ms / 1000, price)
+    write_price_csv(tmp_path / "new.csv", s, np.arange(5.0))
+    oracles.reference_write_price_csv(tmp_path / "ref.csv", s, np.arange(5.0))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -394,7 +412,7 @@ def test_price_writer_rounds_like_the_row_loop(tmp_path):
     "name, reason",
     [
         ("short_row", "a row has too few fields"),
-        ("no_volume", "no column 'volume'"),
+        ("no_price", "no column 'price'"),
         ("text", "could not convert"),
         ("not_increasing", "strictly increasing"),
         ("nan_price", "prices must be finite"),
