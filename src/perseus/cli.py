@@ -760,8 +760,8 @@ def _write_prices(
 ) -> None:
     """Generate and write the price file of every pair that `messages` name."""
     # Module attributes looked up at call time, so a wrapper set on them sees the call.
-    for pair, (series, volume) in synth_mod.generate_prices(messages, synth_config).items():
-        market.write_price_csv(prices_dir / f"{pair}.csv", series, volume)
+    for pair, series in synth_mod.generate_prices(messages, synth_config).items():
+        market.write_price_csv(prices_dir / f"{pair}.csv", series)
 
 
 def stage_synth(cfg: PipelineConfig, synth_config: synth_mod.SynthConfig) -> None:

@@ -82,10 +82,6 @@ def metrics(confusion: Confusion) -> dict[str, float]:
     }
 
 
-def f1_score(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
-    return metrics(confusion_from(y_true, y_pred))["f1"]
-
-
 def roc_auc(probabilities: Sequence[float], labels: Sequence[int]) -> float:
     """Rank-formulation AUC; tied scores contribute half a concordant pair."""
     p = np.asarray(probabilities, dtype=float)

@@ -133,16 +133,16 @@ RULES_FILE = "data/ner_rules.json"
 def load_rules() -> NerRules:
     raw = json.loads(resources.files("perseus").joinpath(RULES_FILE).read_text(encoding="utf-8"))
     sections = raw["sections"]
-    parts = [
-        rf"(?P<s{i}>\b(?:{rule['keyword']})\b)" for i, rule in enumerate(sections)
-    ]
-    parts.append(rf"(?P<num>{raw['number_pattern']})")
+    # Every section keyword starts at a word boundary: one \b ahead of the
+    # sections, which keep their file order before the number.
+    keywords = "|".join(rf"(?P<s{i}>(?:{rule['keyword']})\b)" for i, rule in enumerate(sections))
+    scanner = rf"\b(?:{keywords})|(?P<num>{raw['number_pattern']})"
     direction = rf"(?P<long>{raw['long_pattern']})|(?P<short>{raw['short_pattern']})"
     return NerRules(
         version=int(raw["version"]),
         ticker_patterns=tuple(re.compile(p) for p in raw["ticker_patterns"]),
         direction_pattern=re.compile(direction, re.IGNORECASE),
-        scanner=re.compile("|".join(parts), re.IGNORECASE),
+        scanner=re.compile(scanner, re.IGNORECASE),
         buckets=tuple(rule["bucket"] for rule in sections),
         ordinal_label_max=int(raw["ordinal_label_max"]),
         exchange_pattern=re.compile(raw["exchange_pattern"], re.IGNORECASE),

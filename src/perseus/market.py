@@ -25,7 +25,7 @@ RETURN_DIRECTION_AWARE = "direction_aware"
 RETURN_PAPER_LITERAL = "paper_literal"
 RETURN_RULES = (RETURN_DIRECTION_AWARE, RETURN_PAPER_LITERAL)
 
-PRICE_HEADER = "timestamp,price,volume"
+PRICE_HEADER = "timestamp,price"
 # numpy 1.23 replaced loadtxt's Python parser with a C one that converts each
 # field like float() or rejects it and takes a quotechar; the Python parser
 # also read "0x.." as hex.
@@ -151,12 +151,11 @@ def _load_price_file(path: Path) -> PriceSeries:
         raise PriceFileError(f"{path}: {exc}") from exc
 
 
-def write_price_csv(path: Path | str, series: PriceSeries, volume: np.ndarray) -> None:
-    """Write `series` and its `volume` under the exact `timestamp,price,volume`
-    header, in epoch milliseconds with `\\r\\n` line ends, as `csv.writer` would."""
+def write_price_csv(path: Path | str, series: PriceSeries) -> None:
+    """Write `series` under the exact `timestamp,price` header, in epoch
+    milliseconds with `\\r\\n` line ends, as `csv.writer` would."""
     ms = np.rint(series.ts * 1000).astype(np.int64).tolist()
-    rows = zip(ms, series.price.tolist(), np.asarray(volume, dtype=np.float64).tolist(), strict=True)
-    lines = [PRICE_HEADER, *(f"{m},{p!r},{v!r}" for m, p, v in rows)]
+    lines = [PRICE_HEADER, *(f"{m},{p!r}" for m, p in zip(ms, series.price.tolist()))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 

@@ -34,8 +34,6 @@ PEAK_LAG_HOURS = 6.0
 DECAY_HOURS = 12.0
 CLUSTER_GAP_HOURS = 48.0
 MIN_DELAY_HOURS = 1.0 / 900.0  # four seconds
-BASE_VOLUME = 1000.0
-RAMP_VOLUME_FACTOR = 4.0
 DEFAULT_START = datetime(2023, 1, 1, tzinfo=timezone.utc)
 
 
@@ -327,7 +325,7 @@ def _cluster_messages(
 
 def generate_prices(
     messages: Sequence[CrowdPumpMessage], config: SynthConfig
-) -> dict[str, tuple[PriceSeries, np.ndarray]]:
+) -> dict[str, PriceSeries]:
     """Per-pair bar series whose ramps achieve each event's planned hit count.
 
     The bar at each event's first announcement is pinned to the posted entry
@@ -337,13 +335,14 @@ def generate_prices(
     them it idles with bounded jitter so no extra target is crossed.
 
     The per-bar draws are part of the corpus contract: a walk or idle bar
-    draws one standard normal, then every bar draws one uniform for its
-    volume (no stage reads it: it is returned beside each series for the
-    written file), all from one generator per pair. Reordering or vectorizing
-    the draws, or taking exp/log from numpy rather than `math`, changes every corpus.
+    draws one standard normal, then every bar draws one uniform that no
+    price uses, all from one generator per pair. The uniform stays so that
+    later bars draw the normals they always have, and every corpus keeps
+    its prices. Reordering, dropping or vectorizing the draws, or taking
+    exp/log from numpy rather than `math`, changes every corpus.
     """
     clusters = _cluster_messages(messages)
-    series: dict[str, tuple[PriceSeries, np.ndarray]] = {}
+    series: dict[str, PriceSeries] = {}
     bar = config.bar_minutes * 60
     drift, vol = config.price_drift, config.price_volatility
     jitter = 0.25 * vol
@@ -376,7 +375,7 @@ def generate_prices(
         s_start = plans[0][0] - bar - 73 * 3600.0
         n_bars = int((plans[-2][0] + 73 * 3600.0 - s_start) // bar) + 1
         ts = [s_start + i * bar for i in range(n_bars)]
-        prices, volumes = [], []
+        prices = []
         plan_i = 0
         s0, s_end, s_peak, s_decay, entry, rises, log_entry, log_peak = plans[0]
         log_p = log_entry
@@ -384,7 +383,6 @@ def generate_prices(
             while t >= plans[plan_i + 1][0]:
                 plan_i += 1
                 s0, s_end, s_peak, s_decay, entry, rises, log_entry, log_peak = plans[plan_i]
-            factor = 1.0
             if t < s0:
                 log_p += drift + vol * normal()
                 level = exp(log_p)
@@ -394,20 +392,17 @@ def generate_prices(
             elif t <= s_peak and rises:
                 level = exp(log_entry + (t - s0) / (s_peak - s0) * (log_peak - log_entry))
                 log_p = log(level)
-                factor = RAMP_VOLUME_FACTOR
             elif t <= s_decay and rises:
                 level = exp(log_peak + (t - s_peak) / (s_decay - s_peak) * (log_entry - log_peak))
                 log_p = log(level)
-                factor = RAMP_VOLUME_FACTOR
             elif t <= s_end:
                 level = exp(log_p) * (1.0 + jitter * normal())
             else:
                 log_p += drift + vol * normal()
                 level = exp(log_p)
             prices.append(level)
-            # Generator.uniform(-1, 1) computes -1 + 2·u from the same draw.
-            volumes.append(BASE_VOLUME * (1.0 + 0.1 * (-1.0 + 2.0 * uniform())) * factor)
-        series[pair] = PriceSeries(pair, np.array(ts), np.array(prices)), np.array(volumes)
+            uniform()  # the dropped volume draw: keeps the per-pair random stream
+        series[pair] = PriceSeries(pair, np.array(ts), np.array(prices))
     return series
 
 

@@ -569,13 +569,13 @@ def reference_load_price_csv(path, pair=None):
     return PriceSeries(pair or path.stem, np.array(ts), np.array(price))
 
 
-def reference_write_price_csv(path, series, volume):
+def reference_write_price_csv(path, series):
     """The row loop: one `csv.writer.writerow` per point."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["timestamp", "price", "volume"])
-        for t, p, v in zip(series.ts, series.price, volume):
-            writer.writerow([int(round(t * 1000)), repr(float(p)), repr(float(v))])
+        writer.writerow(["timestamp", "price"])
+        for t, p in zip(series.ts, series.price):
+            writer.writerow([int(round(t * 1000)), repr(float(p))])
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +658,10 @@ def reference_compute_outcomes(messages, series, rule=RETURN_DIRECTION_AWARE):
 
 
 def reference_generate_prices(messages, config):
-    """The bar loop over numpy scalars and `datetime` plans, with
-    `rng.uniform(-1.0, 1.0)` for the volume jitter."""
+    """The bar loop over numpy scalars and `datetime` plans; each bar ends
+    with an unused `rng.uniform(-1.0, 1.0)`, the draw that keeps the stream."""
     clusters = synth._cluster_messages(messages)
-    series: dict[str, tuple[PriceSeries, np.ndarray]] = {}
+    series: dict[str, PriceSeries] = {}
     bar = config.bar_minutes * 60
     for coin, events in clusters.items():
         pair = f"{coin}USDT"
@@ -690,7 +690,6 @@ def reference_generate_prices(messages, config):
             [t_start.timestamp() + i * bar for i in range(n_bars)], dtype=np.float64
         )
         prices = np.empty(n_bars, dtype=np.float64)
-        volumes = np.empty(n_bars, dtype=np.float64)
         log_p = math.log(plans[0][3])
         plan_i = 0
         for i in range(n_bars):
@@ -701,7 +700,6 @@ def reference_generate_prices(messages, config):
             s0, s_peak, s_decay = t0.timestamp(), t_peak.timestamp(), t_decay.timestamp()
             window_end = s0 + 72 * 3600.0
             in_window = s0 <= t <= window_end
-            ramp = False
             if t < s0:
                 log_p += config.price_drift + config.price_volatility * float(
                     rng.standard_normal()
@@ -716,14 +714,12 @@ def reference_generate_prices(messages, config):
                     math.log(entry) + frac * (math.log(peak) - math.log(entry))
                 )
                 log_p = math.log(level)
-                ramp = True
             elif t <= s_decay and peak > entry:
                 frac = (t - s_peak) / (s_decay - s_peak)
                 level = math.exp(
                     math.log(peak) + frac * (math.log(entry) - math.log(peak))
                 )
                 log_p = math.log(level)
-                ramp = True
             elif in_window:
                 level = math.exp(log_p) * (
                     1.0 + 0.25 * config.price_volatility * float(rng.standard_normal())
@@ -734,9 +730,8 @@ def reference_generate_prices(messages, config):
                 )
                 level = math.exp(log_p)
             prices[i] = level
-            base = synth.BASE_VOLUME * (1.0 + 0.1 * float(rng.uniform(-1.0, 1.0)))
-            volumes[i] = base * (synth.RAMP_VOLUME_FACTOR if ramp else 1.0)
-        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices), volumes
+            rng.uniform(-1.0, 1.0)
+        series[pair] = PriceSeries(pair=pair, ts=ts, price=prices)
     return series
 
 

@@ -24,7 +24,6 @@ from perseus.evaluation import (
     METRIC_NAMES,
     best_threshold,
     confusion_from,
-    f1_score,
     metrics,
     roc_auc,
     threshold_sweep,
@@ -113,7 +112,7 @@ def pipeline_matrices(seed):
     event_sets = build_event_sets(corpus.messages, lambda m: "all")
     graphs, _ = build_graphs(event_sets)
     prices = generate_prices(corpus.messages, cfg)
-    outcomes, _ = compute_outcomes(corpus.messages, [series for series, _ in prices.values()])
+    outcomes, _ = compute_outcomes(corpus.messages, prices.values())
     out = []
     for gid in sorted(graphs):
         g = graphs[gid]
@@ -312,7 +311,7 @@ def test_04_synthetic_classification_quality(synthetic_split):
         test_probs = np.array(test_probs)
         test_y = np.array(test_y, dtype=int)
         results[variant] = (
-            f1_score(test_y, (test_probs >= cut).astype(int)),
+            metrics(confusion_from(test_y, (test_probs >= cut).astype(int)))["f1"],
             roc_auc(test_probs, test_y),
         )
     elapsed = gen_seconds + time.perf_counter() - t0

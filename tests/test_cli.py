@@ -346,7 +346,7 @@ def test_price_edit_reruns_featurize_onwards(settled):
         cells = [row.split(",") for row in rows]
         prices = [c[1] for c in cells][::-1]
         path.write_text(
-            "\n".join([header] + [f"{c[0]},{p},{c[2]}" for c, p in zip(cells, prices)]) + "\n"
+            "\n".join([header] + [f"{c[0]},{p}" for c, p in zip(cells, prices)]) + "\n"
         )
     assert stages_run(settled) == ["featurize", "train", "infer", "evaluate"]
     assert (settled / "outcomes.jsonl").read_bytes() != outcomes
@@ -370,14 +370,15 @@ def test_bad_price_file_fails_with_exit_3(settled, capsys, rows):
     assert "data error: featurize:" in err and path.name in err
 
 
-def test_price_files_without_volume_give_the_same_features(settled):
+def test_a_third_price_column_gives_the_same_features(settled):
     """Featurize reads only the timestamp and price of a price file."""
     outputs = [settled / "outcomes.jsonl", *sorted((settled / "features").glob("*.csv"))]
     before = [p.read_bytes() for p in outputs]
     for path in (settled / "data" / "prices").glob("*.csv"):
         lines = path.read_text().splitlines()
-        assert lines[0] == "timestamp,price,volume"
-        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        assert lines[0] == "timestamp,price"
+        extra = ["volume", *(str(1000 + i) for i in range(len(lines) - 1))]
+        path.write_text("".join(f"{line},{v}\n" for line, v in zip(lines, extra)))
     assert main(["featurize", "--out", str(settled)]) == 0
     assert [p.read_bytes() for p in outputs] == before
 
@@ -415,7 +416,7 @@ def test_the_last_price_file_of_a_coin_decides_its_outcomes(settled, capsys):
     header, *rows = usdt.read_text().splitlines()
     busd.write_text(usdt.read_text())
     cells = [row.split(",") for row in rows]
-    usdt.write_text("\n".join([header] + [f"{t},{2 * float(p)!r},{v}" for t, p, v in cells]) + "\n")
+    usdt.write_text("\n".join([header] + [f"{t},{2 * float(p)!r}" for t, p in cells]) + "\n")
     assert market.price_files(prices)[:2] == [busd, usdt]
     before = read_rows(settled / "outcomes.jsonl", "pid")
     assert main(["featurize", "--out", str(settled)]) == 0
@@ -954,8 +955,8 @@ def small_synth_files(tmp_path_factory):
     ingest.write_raw_messages(out / "corpus.jsonl", corpus.raw_messages)
     write_labels(out / "labels.json", corpus.truth.labels)
     write_truth(out / "truth.json", corpus.truth)
-    for pair, (series, volume) in generate_prices(corpus.messages, SMALL_SYNTH).items():
-        market.write_price_csv(out / f"{pair}.csv", series, volume)
+    for pair, series in generate_prices(corpus.messages, SMALL_SYNTH).items():
+        market.write_price_csv(out / f"{pair}.csv", series)
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 

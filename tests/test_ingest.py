@@ -1,6 +1,7 @@
 """Regex extraction, timestamp handling and serialization round trips."""
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from perseus.ingest import (
+    RULES_FILE,
     CrowdPumpMessage,
     RawMessage,
     TradeDirection,
+    load_rules,
     message_to_json,
     normalize_symbol,
     parse_corpus,
@@ -19,7 +22,9 @@ from perseus.ingest import (
     write_messages,
 )
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "perseus" / "data" / "fixtures"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "perseus"
+FIXTURES = PACKAGE / "data" / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SIGNAL_TEXT = (
     "SCAPING300. VETUSDT. Direction: SHORT. Leverage: Cross 20x. "
@@ -272,3 +277,29 @@ def test_fixture_corpora_parse_cleanly_with_hand_labeled_target_counts():
     zone = next(m for m in messages if m.entity_id == "binance_360")
     assert zone.entry_prices == (Decimal("0.6466"), Decimal("0.6598"))
     assert len(zone.target_prices) == 4
+
+
+def test_the_scanner_matches_one_word_boundary_per_section():
+    """The scanner puts one \\b ahead of all sections; the pattern with a \\b
+    in each section must find the same groups at the same spans."""
+    raw = json.loads((PACKAGE / RULES_FILE).read_text(encoding="utf-8"))
+    parts = [rf"(?P<s{i}>\b(?:{rule['keyword']})\b)" for i, rule in enumerate(raw["sections"])]
+    parts.append(rf"(?P<num>{raw['number_pattern']})")
+    reference = re.compile("|".join(parts), re.IGNORECASE)
+    texts = [
+        SIGNAL_TEXT,
+        "SUIUSDT BUY Entry 1.50 Targets 1.60 hold SHORT TERM only",
+        "ARBUSDT and OPUSDT both look ready Targets 1.2",
+        "BTC_STORJ Stop-Loss Targets 1 0.5 Take - Profit 2 TP2: 0.7 tp 3.1 SL1",
+        "entryzone entry_zone xentry 2entry entry2 Current  Ask asking asks volume12",
+        "Target1 - 0.035004 targets12.5 Targets 3 target 1.2 stoploss STOP TARGET",
+        "",
+    ]
+    for path in sorted(GOLDEN.glob("*/messages.jsonl")):
+        texts += [json.loads(line)["message_text"] for line in path.read_text().splitlines()]
+    for path in sorted(FIXTURES.glob("*.jsonl")):
+        texts += [json.loads(line)["text"] for line in path.read_text().splitlines()]
+    scanner = load_rules().scanner
+    for text in texts:
+        got = [(m.lastgroup, m.span()) for m in scanner.finditer(text)]
+        assert got == [(m.lastgroup, m.span()) for m in reference.finditer(text)], text

@@ -287,12 +287,12 @@ def test_outcome_file_round_trip(tmp_path):
 def test_price_csv_round_trip(tmp_path):
     s = series([(0, 100.0), (1, 101.5)])
     path = tmp_path / "SUIUSDT.csv"
-    write_price_csv(path, s, np.array([5.0, 0.0]))
+    write_price_csv(path, s)
     again = load_price_csv(path)
     assert again.pair == "SUIUSDT"
     np.testing.assert_array_equal(again.ts, s.ts)
     np.testing.assert_array_equal(again.price, s.price)
-    assert path.read_text().splitlines()[1:] == ["1709287200000,100.0,5.0", "1709287260000,101.5,0.0"]
+    assert path.read_bytes() == b"timestamp,price\r\n1709287200000,100.0\r\n1709287260000,101.5\r\n"
 
 
 def test_price_csv_accepts_iso_timestamps(tmp_path):
@@ -388,10 +388,10 @@ def test_price_writer_matches_the_row_loop_and_round_trips(tmp_path):
     config = SynthConfig(n_spreaders=8, n_masterminds=2, n_events=6, n_coins=2, seed=4)
     prices = generate_prices(generate_corpus(config).messages, config)
     assert prices
-    for pair, (s, volume) in prices.items():
+    for pair, s in prices.items():
         path, ref = tmp_path / f"{pair}.csv", tmp_path / f"{pair}.ref"
-        write_price_csv(path, s, volume)
-        oracles.reference_write_price_csv(ref, s, volume)
+        write_price_csv(path, s)
+        oracles.reference_write_price_csv(ref, s)
         assert path.read_bytes() == ref.read_bytes()
         again = load_price_csv(path)
         for column in ("ts", "price"):
@@ -403,8 +403,8 @@ def test_price_writer_rounds_like_the_row_loop(tmp_path):
     ms = 1709287200000 + np.array([0.5, 1.5, 2.5, 3.4, 3.6])
     price = np.array([0.1 + 0.2, 1e-7, 1e22, 3.0, 123.456])
     s = PriceSeries("HALFUSDT", ms / 1000, price)
-    write_price_csv(tmp_path / "new.csv", s, np.arange(5.0))
-    oracles.reference_write_price_csv(tmp_path / "ref.csv", s, np.arange(5.0))
+    write_price_csv(tmp_path / "new.csv", s)
+    oracles.reference_write_price_csv(tmp_path / "ref.csv", s)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
